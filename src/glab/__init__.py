@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .groupcore import (  # noqa: F401
     AbSpec,
-    AffSpec,
     AltSpec,
     CocycleExtSpec,
     CycSpec,

@@ -22,6 +22,7 @@ class cube check for regular semisimple elements.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +35,9 @@ from .groupcore import (
     mat_identity,
     mat_inverse,
     mat_mul,
+    power_walk,
     product_mask,
+    require_prime,
 )
 
 Root = tuple[int, int]
@@ -95,19 +98,6 @@ def t_elem(n: int, p: int, root: Root, u: int) -> Mat:
                    mat_inverse(w_elem(n, p, root, 1), n, p), n, p)
 
 
-def root_generator(n: int, p: int, kind: str, root: Root, s: int) -> Mat:
-    """Dispatch for the three generator families: kind in {'x', 'w', 't'}."""
-    if n < 2 or p < 2:
-        raise InputError("invalid_parameters", "need n >= 2 and prime p")
-    if kind == "x":
-        return x_elem(n, p, root, s)
-    if kind == "w":
-        return w_elem(n, p, root, s)
-    if kind == "t":
-        return t_elem(n, p, root, s)
-    raise InputError("invalid_parameters", f"unknown generator kind {kind!r}")
-
-
 def is_diagonal(m: Mat, n: int) -> bool:
     return all(m[i * n + j] == 0 for i in range(n) for j in range(n) if i != j)
 
@@ -146,36 +136,7 @@ def is_regular(t: Mat, n: int, p: int) -> bool:
 
 def regular_diagonals(n: int, p: int) -> list[Mat]:
     """All regular diagonal elements of SL_n(F_p), lexicographic order."""
-    out = []
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n - 1:
-            last = pow(math.prod(prefix) if prefix else 1, -1, p)
-            d = prefix + [last]
-            if len(set(d)) == n:
-                out.append(diag_matrix(tuple(d), p))
-            return
-        for e in range(1, p):
-            rec(prefix + [e])
-
-    rec([])
-    return sorted(out)
-
-
-def centralizer_in_unipotent_is_trivial(t: Mat, n: int, p: int) -> bool:
-    """Brute cross-check of regularity: no nontrivial upper unitriangular
-    matrix commutes with t.  Exponential in the number of positive roots;
-    intended for small n, p."""
-    roots = positive_roots(n)
-    ident = mat_identity(n)
-
-    def rec(k: int, acc: Mat) -> bool:
-        if k == len(roots):
-            return acc == ident or mat_mul(t, acc, n, p) != mat_mul(acc, t, n, p)
-        return all(rec(k + 1, mat_mul(acc, x_elem(n, p, roots[k], s), n, p))
-                   for s in range(p))
-
-    return rec(0, ident)
+    return [t for t in _all_diagonals(n, p) if is_regular(t, n, p)]
 
 
 # --------------------------------------------------------------------------
@@ -325,18 +286,10 @@ def commutator_structure_constants(n: int, p: int) -> dict:
 
 
 def _all_diagonals(n: int, p: int) -> list[Mat]:
-    out = []
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n - 1:
-            last = pow(math.prod(prefix) if prefix else 1, -1, p)
-            out.append(diag_matrix(tuple(prefix + [last]), p))
-            return
-        for e in range(1, p):
-            rec(prefix + [e])
-
-    rec([])
-    return out
+    """All diagonal elements of SL_n(F_p), lexicographic order: the first
+    n - 1 entries run over the units, the last makes the determinant 1."""
+    return [diag_matrix(head + (pow(math.prod(head), -1, p),), p)
+            for head in itertools.product(range(1, p), repeat=n - 1)]
 
 
 # --------------------------------------------------------------------------
@@ -479,16 +432,18 @@ def class_cube(G: FiniteGroup, t: int) -> dict:
         raise InputError("not_regular", "class_cube needs a regular element")
     C = G.class_mask(t)
     Z = G.center_mask()
-    C2 = product_mask(G, C, C)
-    C3 = product_mask(G, C2, C)
-    cur, k = C.copy(), 1
-    min_power = None
-    while k <= G.order:
+    powers, min_power = [], None  # powers: C, C^2, C^3
+    for k, cur in enumerate(power_walk(G, C, C), start=1):
+        if k > G.order:
+            break
+        if k <= 3:
+            powers.append(cur)
         if cur.all():
             min_power = k
             break
-        cur = product_mask(G, cur, C)
-        k += 1
+    while len(powers) < 3:  # the walk stopped early, on G or on a repeat
+        powers.append(product_mask(G, powers[-1], C))
+    _, C2, C3 = powers
     return {
         "class_size": int(C.sum()),
         "square_covers_complement": bool((C2 | Z).all()),
@@ -522,6 +477,7 @@ def regular_sequence(family: str, rank: int, p: int, m: int) -> dict:
     if family.upper() != "A":
         raise InputError("unsupported_family_rank",
                          "matrix realization only for type A", family=family)
+    require_prime(p, "regular_sequence")
     R = rootsys.build_root_system(family, rank)
     lam = rootsys.lambda_weights(R)
     weights = [rootsys.root_weight(R, lam, b) for b in R.positive]

@@ -58,6 +58,7 @@ from .groupcore import (
     mask_from_indices,
     parse_element,
     parse_group_spec,
+    require_prime,
 )
 
 
@@ -212,6 +213,7 @@ def _mat_text(n: int, mat: tuple) -> str:
 
 def _run_chev_relations(a) -> dict:
     n, p = a.rank + 1, a.p
+    require_prime(p, "verify-relations")
     results = {
         "structure_constants": commutator_structure_constants(n, p),
         "torus_conjugation": verify_torus_conjugation(n, p),
@@ -274,19 +276,16 @@ def _run_thick_analyze(a) -> dict:
         "witness_verified": (
             _replay_clique(G, P, th["witness"]) if th["witness"] else True),
     }
-    gen = ts.genericity(G, P)
-    results["genericity"] = gen
-    if gen.get("translators") is not None:
-        results["cover_verified"] = _replay_cover(G, P, gen["translators"])
     cert = ts.generic_subgroup_certificate(G, P)
+    translators = cert.pop("translators")
+    results["genericity"] = {"m": cert["m"], "translators": translators}
+    results["cover_verified"] = _replay_cover(G, P, translators)
+    if a.probe_normal:
+        results["normal_core_probe"] = ts.normal_core_probe(G, cert)
     members = np.nonzero(cert.pop("mask"))[0]
     if len(members) <= 200:
         cert["subgroup_members"] = [element_text(G, int(i)) for i in members]
     results["subgroup_certificate"] = cert
-    if a.probe_normal:
-        probe = ts.normal_core_probe(G, P)
-        probe["experimental"] = True
-        results["normal_core_probe"] = probe
     return results
 
 

@@ -24,6 +24,7 @@ from .groupcore import (
     is_subgroup_mask,
     is_symmetric_mask,
     mask_from_indices,
+    power_walk,
     product_mask,
 )
 
@@ -185,9 +186,11 @@ def image_bound_check(E: FiniteGroup, spec: CocycleExtSpec,
         E, [E.index[(0, base.elements[x])] for x in range(m)])
     P = product_mask(E, section, inverse_mask(E, section))
     levels = {}
-    cur = P.copy()
+    # e in P, so the powers grow; once the walk stops, P^n stays put
+    walk, cur = power_walk(E, P, P), None
     holds = True
     for n in range(1, n_max + 1):
+        cur = next(walk, cur)
         observed = sorted({E.elements[int(g)][0] for g in np.nonzero(cur)[0]})
         bound = {(a + b - n * h11) % p
                  for a in _sumset(im_h, 2 * n - 1, p)
@@ -196,8 +199,6 @@ def image_bound_check(E: FiniteGroup, spec: CocycleExtSpec,
         holds = holds and contained
         levels[n] = {"observed": observed, "bound": sorted(bound),
                      "contained": contained}
-        if n < n_max:
-            cur = product_mask(E, cur, P)
     return {"n_max": n_max, "holds": holds, "levels": levels}
 
 
@@ -242,20 +243,8 @@ def iwasawa_certificate(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> dict:
     if not product_mask(G, A, B).all():
         raise InputError("premise_violation", "AB must cover G")
     bound = (4 * N) ** M
-    cur = A.copy()
-    k = 1
-    k_min = None
-    prev = None
-    while True:
-        if cur.all():
-            k_min = k
-            break
-        key = cur.tobytes()
-        if key == prev:
-            break
-        prev = key
-        cur = product_mask(G, cur, A)
-        k += 1
+    k_min = next((k for k, cur in enumerate(power_walk(G, A, A), start=1)
+                  if cur.all()), None)
     holds = k_min is not None and k_min <= bound
     return {"N": N, "M": M, "bound": bound, "k_min": k_min, "holds": holds}
 

@@ -62,14 +62,6 @@ class SLSpec:
 
 
 @dataclass(frozen=True)
-class AffSpec:
-    """F_p^n acted on by SL_n(F_p): pairs (v, f), (v,f)(u,g) = (v + f·u, fg)."""
-
-    n: int
-    p: int
-
-
-@dataclass(frozen=True)
 class CocycleExtSpec:
     """Central extension of ``base`` by Z/p along a 2-cocycle.
 
@@ -103,7 +95,6 @@ GroupSpec = (
     | SymSpec
     | AltSpec
     | SLSpec
-    | AffSpec
     | CocycleExtSpec
     | QuotientSpec
     | ProductSpec
@@ -113,6 +104,12 @@ GroupSpec = (
 def _require(cond: bool, message: str, **details):
     if not cond:
         raise InputError("invalid_parameters", message, **details)
+
+
+def require_prime(p: int, what: str):
+    """Refuse a modulus that is not prime where a field F_p is assumed."""
+    _require(p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)),
+             f"{what} needs a prime modulus", p=p)
 
 
 # --------------------------------------------------------------------------
@@ -261,8 +258,7 @@ def _sl_order(n: int, p: int) -> int:
 def _sl_model(spec: SLSpec) -> _Model:
     n, p = spec.n, spec.p
     _require(n >= 2, "SL needs n >= 2", n=n)
-    _require(p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1)),
-             "SL needs a prime modulus", p=p)
+    require_prime(p, "SL")
     ident = mat_identity(n)
     gens = []
     for i in range(n):
@@ -275,31 +271,6 @@ def _sl_model(spec: SLSpec) -> _Model:
                   lambda a, b: mat_mul(a, b, n, p),
                   lambda a: mat_inverse(a, n, p),
                   order_hint=_sl_order(n, p))
-
-
-def _aff_model(spec: AffSpec) -> _Model:
-    n, p = spec.n, spec.p
-    sl = _sl_model(SLSpec(n, p))
-    zero = tuple(0 for _ in range(n))
-    ident = (zero, sl.identity)
-
-    def apply(f: tuple, v: tuple) -> tuple:
-        return tuple(sum(f[i * n + j] * v[j] for j in range(n)) % p
-                     for i in range(n))
-
-    def mul(a, b):
-        (v, f), (u, g) = a, b
-        return (tuple((x + y) % p for x, y in zip(v, apply(f, u))), sl.mul(f, g))
-
-    def inv(a):
-        v, f = a
-        fi = sl.inv(f)
-        return (tuple((-x) % p for x in apply(fi, v)), fi)
-
-    gens = [(tuple(1 if j == i else 0 for j in range(n)), sl.identity)
-            for i in range(n)]
-    gens += [(zero, g) for g in sl.generator_forms]
-    return _Model(ident, gens, mul, inv, order_hint=p**n * sl.order_hint)
 
 
 def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
@@ -397,8 +368,6 @@ def _model_for(spec: GroupSpec, cap: int) -> _Model:
             return _alt_model(spec)
         case SLSpec():
             return _sl_model(spec)
-        case AffSpec():
-            return _aff_model(spec)
         case CocycleExtSpec():
             return _cocycle_model(spec, cap)
         case QuotientSpec():
@@ -640,25 +609,33 @@ def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.n
     return out
 
 
-def power_masks(G: FiniteGroup, mask: np.ndarray, n: int) -> list[np.ndarray]:
-    """[A^1, A^2, ..., A^n]."""
-    assert n >= 1
-    out = [mask.copy()]
-    for _ in range(n - 1):
-        out.append(product_mask(G, out[-1], mask))
-    return out
+def power_walk(G: FiniteGroup, a_mask: np.ndarray, s_mask: np.ndarray):
+    """Yield A, A·S, A·S², ... and stop just before the first repeated mask.
+
+    The masks of a walk are eventually periodic, so the walk is finite; a
+    caller stops it earlier with its own test or cap.  Each next mask is
+    only computed when asked for.
+    """
+    seen: set[bytes] = set()
+    cur = a_mask.copy()
+    while (key := cur.tobytes()) not in seen:
+        seen.add(key)
+        yield cur
+        cur = product_mask(G, cur, s_mask)
 
 
 def ball_mask(G: FiniteGroup, mask: np.ndarray, n: int) -> np.ndarray:
-    """A^{<=n} = union of A^0..A^n, with A^0 = {e}."""
-    out = np.zeros(G.order, dtype=bool)
-    out[0] = True
-    for _ in range(n):
-        grown = out | product_mask(G, out, mask)
-        if (grown == out).all():
+    """A^{<=n} = union of A^0..A^n, with A^0 = {e}.
+
+    That union is (A ∪ {e})^n, so the ball is the walk from {e} with step
+    A ∪ {e}, taken n steps or until it stops growing.
+    """
+    step = mask.copy()
+    step[0] = True
+    for k, ball in enumerate(power_walk(G, mask_from_indices(G, [0]), step)):
+        if k >= n:
             break
-        out = grown
-    return out
+    return ball
 
 
 def is_subgroup_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
@@ -801,12 +778,9 @@ def commutator_width(G: FiniteGroup) -> int:
             comms[G.mul(G.mul(ia, G.inv(b)), int(ra[b]))] = True
     derived = G.derived_mask()
     assert (comms <= derived).all()
-    cur, n = comms.copy(), 1
-    while not (derived <= cur).all():
-        cur = product_mask(G, cur, comms)
-        n += 1
-        assert n <= G.order, "commutator covering must terminate"
-    return n
+    # e = [a, a] is a commutator, so the powers grow until they reach [G, G]
+    return next(n for n, cur in enumerate(power_walk(G, comms, comms), start=1)
+                if (derived <= cur).all())
 
 
 def structure_report(G: FiniteGroup) -> dict:
@@ -887,9 +861,6 @@ def form_to_text(spec: GroupSpec, form) -> str:
             return perm_to_text(form)
         case SLSpec():
             return ",".join(str(x) for x in form)
-        case AffSpec():
-            vec = "(" + ",".join(str(x) for x in form[0]) + ")"
-            return f"[{vec}|{','.join(str(x) for x in form[1])}]"
         case CocycleExtSpec(base=base):
             return f"[{form[0]}|{form_to_text(base, form[1])}]"
         case QuotientSpec(parent=parent):
@@ -935,10 +906,6 @@ def text_to_form(spec: GroupSpec, text: str):
                 if len(vals) != n * n:
                     raise SpecSyntaxError(0, f"{n * n} entries", text)
                 return tuple(vals)
-            case AffSpec(n=n, p=p):
-                l, r = _split_bracket_pair(text)
-                vec = text_to_form(AbSpec(tuple(p for _ in range(n))), l)
-                return (vec, text_to_form(SLSpec(n, p), r))
             case CocycleExtSpec(p=p, base=base):
                 l, r = _split_bracket_pair(text)
                 return (int(l) % p, text_to_form(base, r))
@@ -970,7 +937,7 @@ def element_text(G: FiniteGroup, i: int) -> str:
 
 # --------------------------------------------------------------------------
 # group spec grammar:  Cyc(12) | Ab(4,2) | Sym(6) | Alt(5) | SL(2,5)
-#                      | Aff(2,5) | Prod(A,B) | Quot(A,center) | Quot(A,gen(...))
+#                      | Prod(A,B) | Quot(A,center) | Quot(A,gen(...))
 
 
 class _Parser:
@@ -1062,11 +1029,10 @@ def _parse_group(p: _Parser) -> GroupSpec:
         spec = SymSpec(p.integer())
     elif name == "Alt":
         spec = AltSpec(p.integer())
-    elif name in ("SL", "Aff"):
+    elif name == "SL":
         n = p.integer()
         p.expect(",")
-        q = p.integer()
-        spec = SLSpec(n, q) if name == "SL" else AffSpec(n, q)
+        spec = SLSpec(n, p.integer())
     elif name == "Prod":
         left = _parse_group(p)
         p.expect(",")
@@ -1078,7 +1044,7 @@ def _parse_group(p: _Parser) -> GroupSpec:
         spec = _parse_quotient(p, parent)
     else:
         p.pos = name_start  # point at the unknown family name itself
-        p.error("a group family (Cyc/Ab/Sym/Alt/SL/Aff/Prod/Quot)")
+        p.error("a group family (Cyc/Ab/Sym/Alt/SL/Prod/Quot)")
     p.expect(")")
     return spec
 

@@ -21,12 +21,15 @@ import numpy as np
 
 from .errors import InputError, PropertyFailure
 from .groupcore import (
+    AltSpec,
     FiniteGroup,
+    SymSpec,
     _cycles_of,
+    is_symmetric_mask,
     perm_compose,
     perm_inverse,
     perm_to_text,
-    product_mask,
+    power_walk,
 )
 from .thickset import thickness
 
@@ -282,10 +285,12 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     exhaustive scan over q1 in P finds a factorization or proves there is
     none.
     """
+    if not isinstance(G.spec, (SymSpec, AltSpec)):
+        raise InputError("group_mismatch",
+                         "express_even needs a group Sym(n) or Alt(n)")
     if not P[0]:
         raise InputError("not_thick",
                          "P misses the identity, so it is not thick")
-    from .groupcore import inverse_mask, is_symmetric_mask
     if not is_symmetric_mask(G, P):
         raise InputError("not_symmetric", "P must be symmetric")
     for r in np.nonzero(P)[0]:
@@ -293,7 +298,7 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
             raise InputError("not_normal", "P must be a union of classes")
     n = len(G.elements[0])
     form = G.elements[sigma]
-    cycles = [c for c in _cycles_of(form) if len(c) >= 2]
+    cycles = [tuple(x + 1 for x in c) for c in _cycles_of(form) if len(c) >= 2]
     evens = [c for c in cycles if len(c) % 2 == 0]
     odds = [c for c in cycles if len(c) % 2 == 1]
     if len(evens) % 2:
@@ -312,15 +317,12 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     q2_form = tuple(range(n))
     pairs = []
     for c in odds:
-        q1_form = perm_compose(q1_form, _cycle0(n, c))
+        q1_form = perm_compose(q1_form, cycle_perm(n, c))
     for k in range(0, len(evens), 2):
-        c0, c1 = evens[k], evens[k + 1]
-        x, a = c0[0], tuple(c0[1:])
-        y, b = c1[0], tuple(c1[1:])
-        q1_form = perm_compose(q1_form, _cycle0(n, (x, y) + a))
-        q2_form = perm_compose(q2_form, _cycle0(n, (x, y) + b))
-        pairs.append({"x": x + 1, "y": y + 1,
-                      "a": [q + 1 for q in a], "b": [q + 1 for q in b]})
+        (x, *a), (y, *b) = evens[k], evens[k + 1]
+        q1_form = perm_compose(q1_form, cycle_perm(n, (x, y, *a)))
+        q2_form = perm_compose(q2_form, cycle_perm(n, (x, y, *b)))
+        pairs.append({"x": x, "y": y, "a": a, "b": b})
     q1, q2 = G.index[q1_form], G.index[q2_form]
     assert G.mul(q1, q2) == sigma
     if P[q1] and P[q2]:
@@ -342,20 +344,12 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
                           sigma=sigma)
 
 
-def _cycle0(n: int, pts) -> tuple[int, ...]:
-    img = list(range(n))
-    pts = list(pts)
-    for i, p in enumerate(pts):
-        img[p] = pts[(i + 1) % len(pts)]
-    return tuple(img)
-
-
 def class_word_distance(G: FiniteGroup, sigma: int, tau: int,
                         cap: int | None = None) -> dict:
     """Least k with tau a product of k conjugates of sigma (k = 0 for e).
 
-    BFS over class-power masks with cycle detection; None when tau is
-    unreachable (e.g. across a parity obstruction).
+    Walks the class powers C, C^2, ...; None when tau is unreachable
+    (e.g. across a parity obstruction) or not reached within ``cap``.
     """
     if sigma == 0:
         raise InputError("identity_sigma",
@@ -365,16 +359,9 @@ def class_word_distance(G: FiniteGroup, sigma: int, tau: int,
     if cap is None:
         cap = G.order
     C = G.class_mask(sigma)
-    cur = C.copy()
-    k = 1
-    seen: set[bytes] = set()
-    while k <= cap:
+    for k, cur in enumerate(power_walk(G, C, C), start=1):
+        if k > cap:
+            break
         if cur[tau]:
             return {"k": k}
-        key = cur.tobytes()
-        if key in seen:
-            return {"k": None}
-        seen.add(key)
-        cur = product_mask(G, cur, C)
-        k += 1
     return {"k": None}

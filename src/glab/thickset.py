@@ -15,6 +15,7 @@ counting bound.  Each routine reports concrete witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,10 +24,9 @@ from .errors import CapExceeded, InputError, PropertyFailure
 from .groupcore import (
     FiniteGroup,
     ball_mask,
-    inverse_mask,
     is_subgroup_mask,
     is_symmetric_mask,
-    product_mask,
+    power_walk,
     quotient_projection,
 )
 
@@ -47,26 +47,33 @@ def _max_clique(adj: list[int], n: int, cap: int | None = None) -> list[int]:
     Binary branching on the lowest candidate vertex, include-branch first;
     a branch is cut only when it cannot *strictly* beat the incumbent, so
     the first maximum recorded is the lex-least.  ``cap`` stops the search
-    as soon as a clique of that size is known.
+    as soon as a clique of that size is known.  The include-branch is
+    descended in place and only the exclude-branch is stacked, as the
+    clique length it resumes from and its candidates, so the depth is not
+    bounded by the recursion limit; an exclude-branch that the incumbent
+    already cuts is not stacked at all.
     """
     best: list[int] = []
-
-    def extend(cur: list[int], cand: int):
-        nonlocal best
-        if cap is not None and len(best) >= cap:
-            return
-        if len(cur) + cand.bit_count() <= len(best):
-            return
-        if cand == 0:
+    cur: list[int] = []
+    stack: list[tuple[int, int]] = []
+    cand = (1 << n) - 1
+    while cap is None or len(best) < cap:
+        k = len(cur)
+        bound = k + cand.bit_count()
+        if bound > len(best):
+            if cand:
+                low = cand & -cand
+                if bound - 1 > len(best):
+                    stack.append((k, cand ^ low))
+                v = low.bit_length() - 1
+                cur.append(v)
+                cand &= adj[v]
+                continue
             best = cur.copy()
-            return
-        v = (cand & -cand).bit_length() - 1
-        cur.append(v)
-        extend(cur, cand & adj[v])
-        cur.pop()
-        extend(cur, cand & ~(1 << v))
-
-    extend([], (1 << n) - 1)
+        if not stack:
+            break
+        k, cand = stack.pop()
+        del cur[k:]
     return best
 
 
@@ -77,6 +84,27 @@ def _greedy_clique(adj: list[int], n: int) -> list[int]:
         out.append(v)
         cand &= adj[v]
     return out
+
+
+def _quotient_clique(G: FiniteGroup, M: np.ndarray, exact: bool = True,
+                     cap: int | None = None) -> list[int]:
+    """Sorted largest set of elements whose quotients a^-1 b all lie in M.
+
+    Builds the Cayley-graph adjacency "a^-1 b in M", searches it exactly
+    (or greedily when ``exact`` is false) and asserts the defining property
+    on the returned witness.
+    """
+    n = G.order
+    adj = []
+    for a in range(n):
+        inside = M[G.row(G.inv(a))]  # inside[b] = (a^-1 b in M)
+        inside[a] = False
+        adj.append(_pack_bits(inside))
+    witness = sorted(_max_clique(adj, n, cap) if exact else _greedy_clique(adj, n))
+    for i, a in enumerate(witness):  # replay the defining property
+        for b in witness[i + 1:]:
+            assert M[G.mul(G.inv(a), b)]
+    return witness
 
 
 # --------------------------------------------------------------------------
@@ -96,30 +124,10 @@ def thickness(G: FiniteGroup, P: np.ndarray, exact_cap: int = EXACT_CLIQUE_CAP) 
         raise InputError("not_symmetric", "thickness needs P = P^-1")
     if not P[0]:
         return {"value": math.inf, "witness": [0, 0], "status": "exact"}
-    n = G.order
-    adj = []
-    for a in range(n):
-        quot = G.row(G.inv(a))  # quot[b] = a^-1 b
-        free = ~P[quot]
-        free[a] = False
-        adj.append(_pack_bits(free))
-    if n <= exact_cap:
-        clique = _max_clique(adj, n)
-        status = "exact"
-    else:
-        clique = _greedy_clique(adj, n)
-        status = "lower_bound_only"
-    witness = sorted(clique)
-    for i, a in enumerate(witness):  # replay the defining property
-        for b in witness[i + 1:]:
-            assert not P[G.mul(G.inv(a), b)]
-    return {"value": len(clique) + 1, "witness": witness, "status": status}
-
-
-def intersection_thickness_bound(n: int, m: int) -> int:
-    """Thickness bound for an intersection: an n-thick set meets an m-thick
-    set in an R(n, m)-thick set (two-coloring of quotient pairs)."""
-    return ramsey_bound(n, m)
+    exact = G.order <= exact_cap
+    witness = _quotient_clique(G, ~P, exact=exact)
+    return {"value": len(witness) + 1, "witness": witness,
+            "status": "exact" if exact else "lower_bound_only"}
 
 
 def check_intersection_bound(G: FiniteGroup, P: np.ndarray, Q: np.ndarray) -> dict:
@@ -267,34 +275,50 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     # x is covered by translate P*g  iff  g in P^-1 x
     pinv = [G.inv(a) for a in p_idx]
     full = (1 << n) - 1
-    translate_cache: dict[int, int] = {}
 
+    @functools.cache
     def translate(g: int) -> int:
-        got = translate_cache.get(g)
-        if got is None:
-            got = 0
-            for a in p_idx:
-                got |= 1 << G.mul(a, g)
-            translate_cache[g] = got
+        """The translate P*g as a bitmask."""
+        got = 0
+        for a in p_idx:
+            got |= 1 << G.mul(a, g)
         return got
 
-    def dfs(uncovered: int, chosen: list[int], depth: int, limit: int):
-        if uncovered == 0:
-            return list(chosen)
-        if depth == limit or (limit - depth) * len(p_idx) < uncovered.bit_count():
-            return None
-        x = (uncovered & -uncovered).bit_length() - 1
-        for g in sorted(G.mul(q, x) for q in pinv):
+    @functools.cache
+    def translators_covering(x: int) -> list[int]:
+        return sorted(G.mul(q, x) for q in pinv)
+
+    def cover(limit: int) -> list[int] | None:
+        """First cover by at most ``limit`` translates in search order.
+
+        Depth-first without recursion: each open node is a stack frame
+        (uncovered, iterator over its remaining candidate translators),
+        and ``chosen[i]`` is the candidate taken at frame i.
+        """
+        chosen: list[int] = []
+        stack: list[tuple] = []
+        uncovered = full
+        while uncovered:
+            depth = len(chosen)
+            if depth < limit and (limit - depth) * len(p_idx) >= uncovered.bit_count():
+                x = (uncovered & -uncovered).bit_length() - 1
+                stack.append((uncovered, iter(translators_covering(x))))
+            while stack:
+                parent, rest = stack[-1]
+                g = next(rest, None)
+                if g is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+            del chosen[len(stack) - 1:]
             chosen.append(g)
-            got = dfs(uncovered & ~translate(g), chosen, depth + 1, limit)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
+            uncovered = parent & ~translate(g)
+        return chosen
 
     lower = -(-n // len(p_idx))
     for m in range(lower, cap + 1):
-        sol = dfs(full, [], 0, m)
+        sol = cover(m)
         if sol is not None:
             covered = 0
             for g in sol:
@@ -309,15 +333,19 @@ def generic_subgroup_certificate(G: FiniteGroup, P: np.ndarray) -> dict:
     """For e in P = P^-1 and P m-generic: P^(3m-2) is a subgroup of index <= m.
 
     Computes m exactly, takes the mask power, and machine-checks both the
-    subgroup property and the index bound.
+    subgroup property and the index bound.  The cover's ``translators``
+    come back with it, so a caller needs no second cover search.
     """
     if not P[0] or not is_symmetric_mask(G, P):
         raise InputError("precondition_violation",
                          "certificate needs e in P and P symmetric")
-    m = genericity(G, P)["m"]
-    power = P.copy()
-    for _ in range(3 * m - 3):
-        power = product_mask(G, power, P)
+    gen = genericity(G, P)
+    m = gen["m"]
+    # e in P: the powers grow until they stop, so a walk that stops short
+    # of 3m-2 steps has reached P^(3m-2) already
+    for k, power in enumerate(power_walk(G, P, P), start=1):
+        if k == 3 * m - 2:
+            break
     sub = is_subgroup_mask(G, power)
     index = G.order // int(power.sum()) if sub else None
     return {
@@ -328,17 +356,18 @@ def generic_subgroup_certificate(G: FiniteGroup, P: np.ndarray) -> dict:
         "index": index,
         "index_at_most_m": bool(sub and index <= m),
         "mask": power,
+        "translators": gen["translators"],
     }
 
 
-def normal_core_probe(G: FiniteGroup, P: np.ndarray) -> dict:
+def normal_core_probe(G: FiniteGroup, cert: dict) -> dict:
     """Experimental: the largest normal subgroup inside P^(3m-2).
 
-    Observation-only companion to :func:`generic_subgroup_certificate` —
-    intersects the subgroup with all of its conjugates and reports the
-    core's order and index.  No pass/fail semantics.
+    Observation-only companion to :func:`generic_subgroup_certificate`,
+    whose result ``cert`` it takes — intersects the subgroup with all of
+    its conjugates and reports the core's order and index.  No pass/fail
+    semantics.
     """
-    cert = generic_subgroup_certificate(G, P)
     if not cert["is_subgroup"]:
         return {"experimental": True, "core_order": None, "core_index": None,
                 "certificate_m": cert["m"]}
@@ -395,29 +424,23 @@ def image_thickness_check(Q: FiniteGroup, Z: np.ndarray) -> dict:
 def power_cover(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     """Least n with P^n = G, or None with the stabilized union of powers.
 
-    Detects cycling of the power sequence (e.g. parity-alternating sets)
-    by hashing masks; the union of all powers seen is the closure under
-    the generated subsemigroup.
+    The power walk stops at the first repeated power (e.g. for
+    parity-alternating sets); the union of all powers seen is the closure
+    under the generated subsemigroup.
     """
     if cap is None:
         cap = 4 * G.order + 4
     if P.sum() == 0:
         return {"n": None, "cycle": False, "closure_order": 0}
-    seen: set[bytes] = set()
-    cur = P.copy()
-    closure = P.copy()
-    k = 1
-    while k <= cap:
+    closure = np.zeros(G.order, dtype=bool)
+    for k, cur in enumerate(power_walk(G, P, P), start=1):
+        if k > cap:
+            raise CapExceeded("search_exhausted", f"no cover after {cap} powers",
+                              cap=cap)
         if cur.all():
             return {"n": k, "cycle": False, "closure_order": G.order}
-        key = cur.tobytes()
-        if key in seen:
-            return {"n": None, "cycle": True, "closure_order": int(closure.sum())}
-        seen.add(key)
-        cur = product_mask(G, cur, P)
         closure |= cur
-        k += 1
-    raise CapExceeded("search_exhausted", f"no cover after {cap} powers", cap=cap)
+    return {"n": None, "cycle": True, "closure_order": int(closure.sum())}
 
 
 def conjugation_ball_source(G: FiniteGroup, g: int) -> np.ndarray:
@@ -509,20 +532,18 @@ def bounded_simplicity_degree(G: FiniteGroup, cap: int | None = None) -> dict:
     for r in reps:
         if center[r]:
             continue
-        source = conjugation_ball_source(G, r)
-        cur = source.copy()
-        cur[0] = True
-        n = 1
-        while not cur.all():
-            nxt = cur | product_mask(G, cur, source)
-            if (nxt == cur).all():
-                return {"value": None, "witness": int(r),
-                        "stabilized_order": int(cur.sum())}
-            cur = nxt
-            n += 1
+        # the n-ball is (source ∪ {e})^n
+        step = conjugation_ball_source(G, r)
+        step[0] = True
+        for n, cur in enumerate(power_walk(G, step, step), start=1):
             if n > cap:
                 raise CapExceeded("search_exhausted",
                                   f"ball radius exceeded {cap}", cap=cap)
+            if cur.all():
+                break
+        else:
+            return {"value": None, "witness": int(r),
+                    "stabilized_order": int(cur.sum())}
         per_class.append({"rep": int(r), "radius": n})
         worst = max(worst, n)
     return {"value": worst, "witness": None, "per_class": per_class}
@@ -545,17 +566,12 @@ def covering_number(G: FiniteGroup) -> dict:
     per_class = []
     for r in reps[1:]:
         C = G.class_mask(r)
-        cur = C.copy()
-        n = 1
-        seen: set[bytes] = set()
-        while not cur.all():
-            key = cur.tobytes()
-            if key in seen:
-                raise PropertyFailure("search_exhausted",
-                                      "class powers cycled below G")
-            seen.add(key)
-            cur = product_mask(G, cur, C)
-            n += 1
+        for n, cur in enumerate(power_walk(G, C, C), start=1):
+            if cur.all():
+                break
+        else:
+            raise PropertyFailure("search_exhausted",
+                                  "class powers cycled below G")
         per_class.append({"rep": int(r), "power": n})
         worst = max(worst, n)
     return {"value": worst, "per_class": per_class}
@@ -576,17 +592,6 @@ def spread_length(G: FiniteGroup, S: np.ndarray, cap: int | None = None) -> dict
         raise InputError("not_symmetric", "spread needs a symmetric set")
     if S[0]:
         return {"value": cap, "witness": [0] * cap, "status": "capped"}
-    n = G.order
-    adj = []
-    for a in range(n):
-        quot = G.row(G.inv(a))
-        inside = S[quot]
-        inside[a] = False
-        adj.append(_pack_bits(inside))
-    clique = _max_clique(adj, n, cap=cap)
-    witness = sorted(clique[:cap])
-    for i, a in enumerate(witness):
-        for b in witness[i + 1:]:
-            assert S[G.mul(G.inv(a), b)]
-    return {"value": len(witness), "witness": witness,
+    clique = _quotient_clique(G, S, cap=cap)
+    return {"value": min(len(clique), cap), "witness": clique[:cap],
             "status": "exact" if len(clique) < cap else "capped"}

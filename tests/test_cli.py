@@ -39,14 +39,29 @@ def test_envelope_and_thick_analyze(capsys):
     }
 
 
-def test_probe_normal_is_marked_experimental(capsys):
+def test_probe_normal_is_marked_experimental(capsys, monkeypatch):
+    import glab.thickset as ts
+    searches = []
+    search = ts.genericity
+    monkeypatch.setattr(ts, "genericity",
+                        lambda *a, **k: searches.append(1) or search(*a, **k))
     code, rep = run_cli(capsys, "thick", "analyze", "--group", "Cyc(6)",
                         "--set", "arc(1)", "--probe-normal")
     assert code == 0
+    assert len(searches) == 1  # one cover search serves all three sections
     probe = rep["results"]["normal_core_probe"]
     assert probe == {"certificate_m": 2, "core_index": 1, "core_order": 6,
                      "core_thickness": 2, "experimental": True,
                      "power_order": 6}
+
+
+def test_analyze_beyond_the_recursion_limit(capsys):
+    code, rep = run_cli(capsys, "thick", "analyze", "--group", "Cyc(1100)",
+                        "--set", "arc(0)")
+    assert code == 0
+    res = rep["results"]
+    assert res["thickness"]["value"] == 1101 and res["genericity"]["m"] == 1100
+    assert res["witness_verified"] and res["cover_verified"]
 
 
 # -- determinism: identical reports (minus timings) across repeat runs
@@ -122,6 +137,17 @@ def test_sequence_field_too_small(capsys):
                         "--rank", "2", "--p", "3", "--m", "4")
     assert code == 2
     assert rep["error"]["code"] == "field_too_small"
+
+
+@pytest.mark.parametrize("argv", [
+    ("chevalley", "sequence", "--rank", "2", "--p", "9", "--m", "3"),
+    ("chevalley", "verify-relations", "--rank", "1", "--p", "4"),
+])
+def test_chevalley_refuses_composite_modulus(capsys, argv):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert "prime modulus" in rep["error"]["message"]
 
 
 # -- perm subcommands
@@ -226,6 +252,13 @@ def test_subset_ball_radius(capsys):
 def test_arc_needs_cyclic_group(capsys):
     code, rep = run_cli(capsys, "thick", "analyze", "--group", "Sym(4)",
                         "--set", "arc(1)")
+    assert code == 2
+    assert rep["error"]["code"] == "group_mismatch"
+
+
+def test_express_needs_permutation_group(capsys):
+    code, rep = run_cli(capsys, "perm", "express", "--group", "Cyc(6)",
+                        "--set", "arc(1)", "--sigma", "1")
     assert code == 2
     assert rep["error"]["code"] == "group_mismatch"
 

@@ -20,6 +20,7 @@ from glab.groupcore import (
     mask_from_indices,
     parse_element,
     parse_group_spec,
+    power_walk,
     product_mask,
     quotient_projection,
     structure_report,
@@ -178,6 +179,34 @@ def test_ball_mask_levels(cyc6):
     # monotone in the radius
     for small, big in zip(balls, balls[1:]):
         assert (small <= big).all()
+
+
+def test_power_walk_stops_before_first_repeat(cyc6, sym3):
+    one = mask_from_indices(cyc6, [1])
+    assert [np.nonzero(m)[0].tolist() for m in power_walk(cyc6, one, one)] == [
+        [1], [2], [3], [4], [5], [0]]
+    # transpositions T: T, T^2 = Alt(3), then T again
+    T = sym3.class_mask(1)
+    walk = list(power_walk(sym3, T, T))
+    assert len(walk) == 2
+    assert (walk[0] == T).all() and np.nonzero(walk[1])[0].tolist() == [0, 2, 4]
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "SL(2,3)"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_ball_mask_matches_word_enumeration(spec, data):
+    """ball_mask against words of length <= r multiplied out by mul_form."""
+    G = build_group(parse_group_spec(spec))
+    S = data.draw(st.sets(st.integers(0, G.order - 1), max_size=4))
+    r = data.draw(st.integers(0, 4))
+    ball = {G.elements[0]}
+    layer = set(ball)
+    for _ in range(r):
+        layer = {G.mul_form(f, G.elements[s]) for f in layer for s in S}
+        ball |= layer
+    got = ball_mask(G, mask_from_indices(G, sorted(S)), r)
+    assert {G.elements[int(i)] for i in np.nonzero(got)[0]} == ball
 
 
 def test_inverse_and_symmetry(sym3):

@@ -200,6 +200,8 @@ def test_class_word_distance(sym4):
     t = parse_element(sym4, "(1,2)")
     assert class_word_distance(sym4, t, parse_element(sym4, "(1,2,3)")) == {"k": 2}
     assert class_word_distance(sym4, t, parse_element(sym4, "(1,2,3,4)")) == {"k": 3}
+    assert class_word_distance(sym4, t, parse_element(sym4, "(1,2,3,4)"),
+                               cap=2) == {"k": None}
     assert class_word_distance(sym4, parse_element(sym4, "(1,2,3)"), t) == {"k": None}
     assert class_word_distance(sym4, t, 0) == {"k": 0}
     with pytest.raises(InputError) as e:

@@ -24,7 +24,6 @@ from glab.thickset import (
     gn_product_check,
     gn_set,
     image_thickness_check,
-    intersection_thickness_bound,
     normal_core_probe,
     power_cover,
     preimage_thickness_check,
@@ -72,6 +71,16 @@ def test_thickness_infinite_without_identity(cyc6):
     assert rep["witness"] == [0, 0]
 
 
+def test_searches_deeper_than_the_recursion_limit():
+    """{e} in Cyc(1100): the clique and the cover both take all 1100
+    elements, one search level each."""
+    G = build_group(CycSpec(1100))
+    P = mask_from_indices(G, [0])
+    th = thickness(G, P)
+    assert th["value"] == 1101 and th["witness"] == list(range(1100))
+    assert genericity(G, P) == {"m": 1100, "translators": list(range(1100))}
+
+
 def test_thickness_requires_symmetric(cyc6):
     with pytest.raises(InputError) as e:
         thickness(cyc6, mask_from_indices(cyc6, [0, 1]))
@@ -109,7 +118,6 @@ def test_ramsey_table():
     assert ramsey_bound(3, 4) == ramsey_bound(4, 3) == 9
     assert ramsey_bound(3, 5) == 14
     assert ramsey_bound(4, 4) == 18
-    assert intersection_thickness_bound(3, 3) == 6
 
 
 def test_ramsey_errors():
@@ -210,6 +218,7 @@ def test_certificate_frozen(cyc6, cyc4=None):
     assert cert["m"] == 2 and cert["power_exponent"] == 4
     assert cert["power_order"] == 6 and cert["index"] == 1
     assert cert["is_subgroup"] and cert["index_at_most_m"]
+    assert cert["translators"] == [0, 3]  # genericity's cover, see above
     C4 = build_group(CycSpec(4))
     cert = generic_subgroup_certificate(C4, mask_from_indices(C4, [0, 2]))
     assert cert["m"] == 2 and cert["power_exponent"] == 4
@@ -225,7 +234,8 @@ def test_certificate_precondition(cyc6):
 
 
 def test_normal_core_probe(cyc6):
-    rep = normal_core_probe(cyc6, mask_from_indices(cyc6, [0, 1, 5]))
+    cert = generic_subgroup_certificate(cyc6, mask_from_indices(cyc6, [0, 1, 5]))
+    rep = normal_core_probe(cyc6, cert)
     assert rep == {"experimental": True, "certificate_m": 2, "power_order": 6,
                    "core_order": 6, "core_index": 1, "core_thickness": 2}
 
@@ -259,6 +269,9 @@ def test_power_cover(sym3):
         "n": 2, "cycle": False, "closure_order": 6}
     assert power_cover(sym3, np.zeros(6, dtype=bool)) == {
         "n": None, "cycle": False, "closure_order": 0}
+    with pytest.raises(CapExceeded) as e:  # T^2 = Alt(3) is a new power
+        power_cover(sym3, transpositions, cap=1)
+    assert e.value.code == "search_exhausted"
 
 
 # -- class-ball covering sets
@@ -345,6 +358,12 @@ def test_bounded_simplicity_alt5(alt5):
         "value": 3, "witness": None,
         "per_class": [{"rep": 1, "radius": 2}, {"rep": 2, "radius": 3},
                       {"rep": 4, "radius": 3}, {"rep": 9, "radius": 2}]}
+
+
+def test_bounded_simplicity_cap(alt5):
+    with pytest.raises(CapExceeded) as e:  # every class needs radius >= 2
+        bounded_simplicity_degree(alt5, cap=1)
+    assert e.value.code == "search_exhausted"
 
 
 def test_bounded_simplicity_degenerate(cyc6):
