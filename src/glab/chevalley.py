@@ -189,6 +189,7 @@ def enumerate_unipotent_products(n: int, p: int) -> dict:
     sharing prefixes) and checks the products are pairwise distinct upper
     unitriangular matrices — surjectivity then follows by counting.
     """
+    require_prime(p, "enumerate_unipotent_products")
     roots = positive_roots(n)
     m = len(roots)
     prods = np.eye(n, dtype=np.int64)[None, :, :]
@@ -217,6 +218,7 @@ def enumerate_unipotent_products(n: int, p: int) -> dict:
 
 def verify_torus_conjugation(n: int, p: int) -> dict:
     """t x_a(s) t^-1 = x_a(a(t) s) over every diagonal t, root a, scalar s."""
+    require_prime(p, "verify_torus_conjugation")
     checked = failures = 0
     for t in _all_diagonals(n, p):
         ti = mat_inverse(t, n, p)
@@ -232,6 +234,7 @@ def verify_torus_conjugation(n: int, p: int) -> dict:
 
 def verify_weyl_torus_action(n: int, p: int) -> dict:
     """t_a(u) x_b(s) t_a(u)^-1 = x_b(u^<b,a> s) over all roots a, b."""
+    require_prime(p, "verify_weyl_torus_action")
     checked = failures = 0
     for alpha in all_roots(n):
         for u in range(1, p):
@@ -256,6 +259,7 @@ def commutator_structure_constants(n: int, p: int) -> dict:
     (k,j).  Non-adjacent pairs (a+b not a root, a != -b) must commute.
     Everything is verified against matrix arithmetic for all s, u.
     """
+    require_prime(p, "commutator_structure_constants")
     constants = {}
     failures = 0
     roots = all_roots(n)

@@ -113,6 +113,19 @@ def _split_top_level(body: str, sep: str) -> list[str]:
     return parts
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a file; a missing or unreadable file is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise InputError("invalid_parameters", f"cannot read {what}",
+                         path=path, reason=e.strerror or str(e)) from None
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError("invalid_parameters", f"{what} is not JSON",
+                         path=path, reason=str(e)) from None
+
+
 def parse_subset(G: FiniteGroup, text: str, offset: int = 0) -> np.ndarray:
     """Evaluate a subset expression to a boolean mask over G's elements."""
     text = text.strip()
@@ -137,6 +150,9 @@ def parse_subset(G: FiniteGroup, text: str, offset: int = 0) -> np.ndarray:
         except ValueError:
             raise SpecSyntaxError(offset + open_pos + 1 + len(";".join(parts[:-1])),
                                   "an integer radius last", text) from None
+        if radius < 0:
+            raise InputError("invalid_parameters", "ball radius must be >= 0",
+                             radius=radius)
         gens = [parse_element(G, p) for p in parts[:-1]]
         base = mask_from_indices(G, gens)
         return ball_mask_sym(G, base, radius)
@@ -152,8 +168,7 @@ def parse_subset(G: FiniteGroup, text: str, offset: int = 0) -> np.ndarray:
         return mask_from_indices(
             G, [G.index[v % n] for v in range(-k, k + 1)])
     if head == "file":
-        with open(body.strip(), "r", encoding="utf-8") as fh:
-            names = json.load(fh)
+        names = _read_json(body.strip(), "subset file")
         if not isinstance(names, list):
             raise InputError("invalid_parameters",
                              "subset file must hold a JSON list of elements")
@@ -330,8 +345,7 @@ def _cocycle_from_args(a):
     if a.cocycle == "coboundary":
         return base_spec, a.p, ext.coboundary_cocycle(base, a.p, seed=a.seed)
     if a.cocycle.startswith("file:"):
-        with open(a.cocycle[5:], "r", encoding="utf-8") as fh:
-            table = json.load(fh)
+        table = _read_json(a.cocycle[5:], "cocycle file")
         return base_spec, a.p, np.asarray(table, dtype=np.int64)
     raise InputError("invalid_parameters",
                      "cocycle must be carry, coboundary, or file:<path>",

@@ -12,6 +12,15 @@ canonical form.  Two consequences the rest of the toolkit relies on:
   translator list derived from them — are identical across runs and
   platforms.
 
+The enumeration also keeps what it computes on the way: one
+right-multiplication table per generator, R_k[x] = x·g_k, and for each
+element b the first tree edge b = parent·g_k that found it.  Cayley rows
+walk that tree (a·b = (a·parent)·g_k, one numpy gather per layer),
+conjugation by a generator is the table inv[R_k[inv[R_k]]], and classes,
+centres and normal closures are array operations on those tables.  None
+of this depends on the group family.  ``mul_form``/``inv_form`` stay
+form-level, as the independent path that witness replays use.
+
 Subsets of a group are plain ``numpy`` boolean arrays over element indices;
 the helpers at the bottom (:func:`product_mask`, :func:`inverse_mask`, ...)
 implement the set arithmetic used by the combinatorial layers.
@@ -312,11 +321,8 @@ def _quotient_model(spec: QuotientSpec, cap: int) -> _Model:
     nmask[normal] = True
     if not is_subgroup_mask(parent, nmask):
         raise InputError("not_normal", "listed forms are not a subgroup")
-    for g in parent.generators:
-        for x in normal:
-            if not nmask[parent.conj(x, g)]:
-                raise InputError("not_normal",
-                                 "subgroup is not conjugation-invariant")
+    if not nmask[parent._conjugations()[:, normal]].all():
+        raise InputError("not_normal", "subgroup is not conjugation-invariant")
     # coset representative = lowest parent index in the coset
     rep_of = np.full(parent.order, -1, dtype=np.int64)
     for i in range(parent.order):
@@ -381,6 +387,51 @@ def _model_for(spec: GroupSpec, cap: int) -> _Model:
 # the group object
 
 
+class _CayleyTree:
+    """Right-multiplication tables and the BFS tree of the enumeration.
+
+    ``right[k, x]`` is the index of x·g_k for the k-th generator form.  Each
+    element b other than e keeps the first edge that found it, b = p·g_k
+    with p in an earlier layer.  Since a·b = (a·p)·g_k, a whole Cayley row
+    follows from its first entry a·e = a by one gather per layer.
+
+    A numpy call costs about as much as fifteen elements walked in plain
+    Python, so a tree whose layers average fewer than sixteen elements (a
+    long cycle has one per layer) is walked element by element instead.
+    """
+
+    def __init__(self, right: list, edges: list, layer_ends: list, n_gens: int):
+        n = len(edges) + 1
+        self.right = np.array(right, dtype=np.int64).reshape(n, n_gens).T.copy()
+        # entry b - 1 describes element b: its parent, and the offset k * n
+        # of the table of g_k in the flattened tables
+        edges = np.array(edges, dtype=np.int64)
+        n_gens = max(n_gens, 1)
+        parent, offset = edges // n_gens, (edges % n_gens) * n
+        self._thin, self._steps = None, []
+        if n < 16 * (len(layer_ends) - 1):
+            self._thin = (self.right.ravel().tolist(),
+                          list(zip(parent.tolist(), offset.tolist())))
+        else:
+            self._steps = [(lo, hi, parent[lo - 1:hi - 1], offset[lo - 1:hi - 1])
+                           for lo, hi in zip(layer_ends, layer_ends[1:])]
+
+    def row(self, a: int) -> np.ndarray:
+        n = self.right.shape[1]
+        if self._thin is not None:
+            flat, edges = self._thin
+            r = [a] * n
+            for b, (p, k_n) in enumerate(edges, start=1):
+                r[b] = flat[k_n + r[p]]
+            return np.array(r, dtype=np.int64)
+        flat = self.right.ravel()
+        r = np.empty(n, dtype=np.int64)
+        r[0] = a
+        for lo, hi, parent, offset in self._steps:
+            r[lo:hi] = flat[offset + r[parent]]
+        return r
+
+
 class FiniteGroup:
     """Concrete finite group: canonical forms + index-level arithmetic.
 
@@ -390,12 +441,14 @@ class FiniteGroup:
     re-verifying witnesses.
     """
 
-    def __init__(self, spec: GroupSpec, model: _Model, elements: list):
+    def __init__(self, spec: GroupSpec, model: _Model, elements: list,
+                 tree: _CayleyTree):
         self.spec = spec
         self._model = model
         self.elements = elements
         self.order = len(elements)
         self.index = {f: i for i, f in enumerate(elements)}
+        self._tree = tree
         gens = []
         for g in model.generator_forms:
             gi = self.index[g]
@@ -403,6 +456,7 @@ class FiniteGroup:
                 gens.append(gi)
         self.generators = tuple(gens)
         self._inv_arr: np.ndarray | None = None
+        self._conj: np.ndarray | None = None
         self._rows: dict[int, np.ndarray] = {}
         self._classes = None
         self._center: np.ndarray | None = None
@@ -456,34 +510,36 @@ class FiniteGroup:
         """Cayley row: row(a)[b] = index of a*b.  Cached per element."""
         r = self._rows.get(a)
         if r is None:
-            fa = self.elements[a]
-            r = np.array([self.index[self._model.mul(fa, fb)]
-                          for fb in self.elements], dtype=np.int64)
-            self._rows[a] = r
+            r = self._rows[a] = self._tree.row(a)
         return r
+
+    def _conjugations(self) -> np.ndarray:
+        """conj[k, x] = g_k^-1 x g_k for the k-th generator form, from the tables."""
+        if self._conj is None:
+            self.inv(0)  # fills self._inv_arr
+            inv, right = self._inv_arr, self._tree.right
+            self._conj = inv[np.take_along_axis(right, inv[right], axis=1)]
+        return self._conj
 
     # -- structure
 
     def conjugacy_classes(self):
         """(class_id array, list of class representatives in index order)."""
         if self._classes is None:
-            cid = np.full(self.order, -1, dtype=np.int64)
-            reps = []
-            for r in range(self.order):
-                if cid[r] >= 0:
-                    continue
-                k = len(reps)
-                reps.append(r)
-                cid[r] = k
-                stack = [r]
-                while stack:
-                    x = stack.pop()
-                    for g in self.generators:
-                        y = self.conj(x, g)
-                        if cid[y] < 0:
-                            cid[y] = k
-                            stack.append(y)
-            self._classes = (cid, reps)
+            conj = self._conjugations()
+            moves = np.concatenate([conj, np.argsort(conj, axis=1)])
+            # each label is an element of its own class and never above its
+            # index; pulling the least label along conjugation both ways and
+            # jumping to the label's label stops at the least class member
+            label = np.arange(self.order)
+            while True:
+                low = np.minimum(label, label[moves].min(axis=0, initial=self.order))
+                low = low[low]
+                if np.array_equal(low, label):
+                    break
+                label = low
+            reps = np.flatnonzero(label == np.arange(self.order))
+            self._classes = (np.searchsorted(reps, label), reps.tolist())
         return self._classes
 
     def class_mask(self, a: int) -> np.ndarray:
@@ -492,11 +548,7 @@ class FiniteGroup:
 
     def center_mask(self) -> np.ndarray:
         if self._center is None:
-            mask = np.ones(self.order, dtype=bool)
-            for g in self.generators:
-                mask &= np.array([self.mul(x, g) == self.mul(g, x)
-                                  for x in range(self.order)])
-            self._center = mask
+            self._center = (self._conjugations() == np.arange(self.order)).all(axis=0)
         return self._center
 
     def subgroup_closure(self, seeds) -> np.ndarray:
@@ -517,18 +569,15 @@ class FiniteGroup:
         return mask
 
     def normal_closure_mask(self, seed_mask: np.ndarray) -> np.ndarray:
-        conj_closed = seed_mask.copy()
-        frontier = list(np.nonzero(seed_mask)[0])
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = self.conj(int(x), g)
-                    if not conj_closed[y]:
-                        conj_closed[y] = True
-                        nxt.append(y)
-            frontier = nxt
-        return self.subgroup_closure(np.nonzero(conj_closed)[0])
+        conj = self._conjugations()
+        closed = seed_mask.copy()
+        while True:
+            grown = closed.copy()
+            grown[conj[:, closed]] = True
+            if np.array_equal(grown, closed):
+                break
+            closed = grown
+        return self.subgroup_closure(np.nonzero(closed)[0])
 
     def derived_mask(self) -> np.ndarray:
         """[G, G]: normal closure of commutators of generator pairs."""
@@ -563,22 +612,37 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                           cap=cap, order=model.order_hint)
     elements = [model.identity]
     index = {model.identity: 0}
+    # right[x * len(gens) + k] = index of x·g_k, in scan order; a product
+    # that is new holds its form until its layer is numbered
+    right: list = []
+    edges: list[int] = []  # position in `right` of each new element's first edge
+    layer_ends = [1]
     frontier = [model.identity]
     while frontier:
-        layer = set()
+        found: dict = {}
+        pending = []
         for f in frontier:
             for g in model.generator_forms:
                 h = model.mul(f, g)
-                if h not in index:
-                    layer.add(h)
-        frontier = sorted(layer)
+                i = index.get(h)
+                if i is None:
+                    found.setdefault(h, len(right))
+                    pending.append(len(right))
+                    i = h
+                right.append(i)
+        frontier = sorted(found)
         for h in frontier:
             index[h] = len(elements)
             elements.append(h)
+            edges.append(found[h])
             if len(elements) > cap:
                 raise CapExceeded("order_cap_exceeded",
                                   f"enumeration exceeded cap {cap}", cap=cap)
-    return FiniteGroup(spec, model, elements)
+        for pos in pending:
+            right[pos] = index[right[pos]]
+        layer_ends.append(len(elements))
+    return FiniteGroup(spec, model, elements, _CayleyTree(
+        right, edges, layer_ends[:-1], len(model.generator_forms)))
 
 
 # --------------------------------------------------------------------------
@@ -995,14 +1059,12 @@ class _Parser:
         depth = 0
         while self.pos < len(self.text):
             ch = self.text[self.pos]
+            if depth == 0 and (ch in stops or ch in ")]"):
+                break
             if ch in "([":
                 depth += 1
             elif ch in ")]":
-                if depth == 0:
-                    break
                 depth -= 1
-            if depth == 0 and ch in stops:
-                break
             self.pos += 1
         return self.text[start:self.pos]
 

@@ -137,6 +137,11 @@ def scan_cycle_quotient(n: int = 12, m_max: int = 3) -> dict:
     arrays (b-axis vectorized).  Returns per-length instance counts.
     """
     from itertools import permutations
+    if not 0 <= 2 * m_max + 1 <= n:
+        raise InputError("invalid_parameters",
+                         "the quotient identity with lists of length m_max "
+                         "needs m_max >= 0 and 2 m_max + 1 <= n points",
+                         n=n, m_max=m_max)
     counts = {}
     for m in range(m_max + 1):
         total = 0
@@ -184,6 +189,10 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
         shapes = [(2 * p + 1, 2 * q + 1)
                   for p in range(half_max + 1) for q in range(half_max + 1)
                   if 2 + (2 * p + 1) + (2 * q + 1) <= n]
+    if not shapes or any(2 + la + lb > n for la, lb in shapes):
+        raise InputError("invalid_parameters",
+                         "the merge identity needs shapes (la, lb) with "
+                         "2 + la + lb <= n points", n=n, shapes=shapes)
     report = {"n": n, "shapes": {}, "equivariance_checks": 0,
               "random_checks": 0}
 

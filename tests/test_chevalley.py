@@ -89,6 +89,16 @@ def test_unipotent_products_bijective(n, p, expected):
                    "expected": expected, "bijective": True}
 
 
+@pytest.mark.parametrize("check", [
+    commutator_structure_constants, enumerate_unipotent_products,
+    verify_torus_conjugation, verify_weyl_torus_action])
+def test_relation_checks_refuse_composite_modulus(check):
+    with pytest.raises(InputError) as e:
+        check(2, 4)  # Z/4 is not a field
+    assert e.value.code == "invalid_parameters"
+    assert e.value.details == {"p": 4}
+
+
 # -- regular semisimple elements
 
 

@@ -165,6 +165,14 @@ def test_perm_identities(capsys):
         "3,1": {"instances": 5040, "mode": "full"}}
 
 
+def test_perm_identities_needs_enough_points(capsys):
+    code, rep = run_cli(capsys, "perm", "identities", "--n", "3",
+                        "--m-max", "2")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"] == {"m_max": 2, "n": 3}
+
+
 def test_perm_express_with_replay(capsys):
     code, rep = run_cli(capsys, "perm", "express", "--group", "Alt(5)",
                         "--set", "union(class(e),class((1,2)(3,4)),class((1,2,3)))",
@@ -247,6 +255,42 @@ def test_subset_ball_radius(capsys):
                         "--set", "ball(1;2)")
     assert code == 0
     assert rep["results"]["set_size"] == 5  # {0, +-1, +-2}
+
+
+def test_subset_ball_refuses_negative_radius(capsys):
+    code, rep = run_cli(capsys, "thick", "analyze", "--group", "Cyc(12)",
+                        "--set", "ball(1;-3)")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"] == {"radius": -3}
+
+
+def test_subset_file_missing(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    code, rep = run_cli(capsys, "thick", "analyze", "--group", "Cyc(6)",
+                        "--set", f"file({missing})")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"]["path"] == str(missing)
+
+
+def test_subset_file_not_json(capsys, tmp_path):
+    listing = tmp_path / "subset.json"
+    listing.write_text("1, 2, 3 are not a JSON list")
+    code, rep = run_cli(capsys, "thick", "analyze", "--group", "Cyc(6)",
+                        "--set", f"file({listing})")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert "not JSON" in rep["error"]["message"]
+
+
+def test_ext_cocycle_file_missing(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    code, rep = run_cli(capsys, "ext", "build", "--base", "Cyc(2)", "--p", "2",
+                        "--cocycle", f"file:{missing}")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"]["path"] == str(missing)
 
 
 def test_arc_needs_cyclic_group(capsys):

@@ -87,6 +87,22 @@ def test_scan_cycle_quotient_degree7():
         "n": 7, "counts": {0: 7, 1: 210, 2: 2520}, "total": 2737}
 
 
+def test_scans_refuse_too_few_points():
+    with pytest.raises(InputError) as e:
+        scan_cycle_quotient(3, 2)  # x, a and b need 2 * 2 + 1 = 5 points
+    assert e.value.code == "invalid_parameters"
+    with pytest.raises(InputError) as e:
+        scan_cycle_quotient(7, -1)  # would check nothing
+    assert e.value.code == "invalid_parameters"
+    assert scan_cycle_quotient(5, 2)["counts"] == {0: 5, 1: 60, 2: 120}
+    with pytest.raises(InputError) as e:
+        scan_merge(3, half_max=1)  # the least shape (1, 1) needs 4 points
+    assert e.value.code == "invalid_parameters"
+    with pytest.raises(InputError) as e:
+        scan_merge(7, shapes=[(3, 3)])
+    assert e.value.code == "invalid_parameters"
+
+
 def test_scan_merge_degree7():
     rep = scan_merge(7, half_max=1, random_samples=50)
     assert rep["n"] == 7
