@@ -31,7 +31,6 @@ from .errors import InputError, PropertyFailure
 from .groupcore import (
     FiniteGroup,
     SLSpec,
-    mat_det,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -359,21 +358,18 @@ def transport_into_opposite(n: int, p: int, t: Mat, target: Mat) -> Mat:
 # Gauss decomposition with prescribed diagonal
 
 
-def _leading_minors_nonzero(m: Mat, n: int, p: int) -> bool:
-    for k in range(1, n + 1):
-        sub = tuple(m[i * n + j] for i in range(k) for j in range(k))
-        if mat_det(sub, k, p) == 0:
-            return False
-    return True
+def _ldu(m: Mat, n: int, p: int) -> tuple[Mat, Mat, Mat] | None:
+    """Unique L * D * U with L/U unit-triangular and D invertible, or None.
 
-
-def _ldu(m: Mat, n: int, p: int) -> tuple[Mat, Mat, Mat]:
-    """Unique L * D * U with L/U unit-triangular, for nonzero leading minors."""
+    Elimination without row swaps meets a zero pivot exactly when a
+    leading principal minor of m vanishes; then it returns None.
+    """
     a = [[m[i * n + j] % p for j in range(n)] for i in range(n)]
     L = [[int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = a[col][col] % p
-        assert piv != 0
+        if piv == 0:
+            return None
         inv = pow(piv, -1, p)
         for r in range(col + 1, n):
             f = (a[r][col] * inv) % p
@@ -408,9 +404,10 @@ def gauss_prescribed(G: FiniteGroup, g: int, t: int) -> dict:
     diag_entries(t_mat, n)  # not_diagonal if it is not
     for x in range(G.order):
         m = G.elements[G.conj(g, x)]
-        if not _leading_minors_nonzero(m, n, p):
+        ldu = _ldu(m, n, p)
+        if ldu is None:
             continue
-        L, D, U = _ldu(m, n, p)
+        L, D, U = ldu
         if D == t_mat:
             assert mat_mul(mat_mul(L, D, n, p), U, n, p) == m
             return {"x": x, "v": L, "t": D, "u": U, "conjugate": m}

@@ -345,8 +345,7 @@ def _cocycle_from_args(a):
     if a.cocycle == "coboundary":
         return base_spec, a.p, ext.coboundary_cocycle(base, a.p, seed=a.seed)
     if a.cocycle.startswith("file:"):
-        table = _read_json(a.cocycle[5:], "cocycle file")
-        return base_spec, a.p, np.asarray(table, dtype=np.int64)
+        return base_spec, a.p, _read_json(a.cocycle[5:], "cocycle file")
     raise InputError("invalid_parameters",
                      "cocycle must be carry, coboundary, or file:<path>",
                      got=a.cocycle)

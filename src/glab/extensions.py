@@ -21,6 +21,7 @@ from .groupcore import (
     GroupSpec,
     build_group,
     inverse_mask,
+    is_normal_mask,
     is_subgroup_mask,
     is_symmetric_mask,
     mask_from_indices,
@@ -32,16 +33,22 @@ from .groupcore import (
 def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
     """Check the 2-cocycle identity on every triple; return the table mod p.
 
-    h(x,y) + h(xy,z) = h(y,z) + h(x,yz) for all x, y, z in the base group.
+    The table is |H| lists of |H| integers (JSON integers, so booleans do
+    not count), or an integer array of that shape, indexed by the element
+    indices of the base group.  h(x,y) + h(xy,z) = h(y,z) + h(x,yz) for
+    all x, y, z in the base group.
     """
     if p < 2:
         raise InputError("invalid_parameters", "modulus must be >= 2", p=p)
     m = base.order
-    h = np.asarray(table, dtype=np.int64) % p
-    if h.shape != (m, m):
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    if not (isinstance(rows, list) and len(rows) == m
+            and all(isinstance(row, list) and len(row) == m
+                    and all(type(v) is int for v in row) for row in rows)):
         raise InputError("invalid_cocycle",
-                         "table shape must be |H| x |H|",
-                         expected=(m, m), got=list(h.shape))
+                         "table must be |H| lists of |H| integers",
+                         expected=[m, m])
+    h = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
     M = np.stack([base.row(x) for x in range(m)])
     lhs = h[:, :, None] + h[M]
     rhs = h[None, :, :] + h[:, M.reshape(-1)].reshape(m, m, m)
@@ -234,9 +241,8 @@ def iwasawa_certificate(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> dict:
         raise InputError("premise_violation", "A must contain the identity")
     if not is_symmetric_mask(G, A):
         raise InputError("premise_violation", "A must be symmetric")
-    for r in np.nonzero(A)[0]:
-        if not (A >= G.class_mask(int(r))).all():
-            raise InputError("premise_violation", "A must be normal")
+    if not is_normal_mask(G, A):
+        raise InputError("premise_violation", "A must be normal")
     M = derived_length_of_subgroup(G, B)
     from .groupcore import commutator_width
     N = commutator_width(G)

@@ -15,15 +15,19 @@ canonical form.  Two consequences the rest of the toolkit relies on:
 The enumeration also keeps what it computes on the way: one
 right-multiplication table per generator, R_k[x] = x·g_k, and for each
 element b the first tree edge b = parent·g_k that found it.  Cayley rows
-walk that tree (a·b = (a·parent)·g_k, one numpy gather per layer),
-conjugation by a generator is the table inv[R_k[inv[R_k]]], and classes,
-centres and normal closures are array operations on those tables.  None
-of this depends on the group family.  ``mul_form``/``inv_form`` stay
-form-level, as the independent path that witness replays use.
+walk that tree (a·b = (a·parent)·g_k, one numpy gather per layer), and
+the same walk over the rows of the g_k^-1 gives the inverse array
+(b^-1 = g_k^-1·parent^-1).  Conjugation by a generator is the table
+inv[R_k[inv[R_k]]], and classes and centres are array operations on
+those tables.  None of this depends on the group family.
+``mul``/``mul_form``/``inv_form`` stay form-level, as the independent
+path that witness replays use.
 
-Subsets of a group are plain ``numpy`` boolean arrays over element indices;
-the helpers at the bottom (:func:`product_mask`, :func:`inverse_mask`, ...)
-implement the set arithmetic used by the combinatorial layers.
+Subsets of a group are plain ``numpy`` boolean arrays over element indices.
+Their algebra (:func:`inverse_mask`, :func:`product_mask`, subgroup and
+normal closures through one closure loop, :func:`is_subgroup_mask`,
+:func:`is_normal_mask`, commutators, quotient cosets as orbits) uses only
+rows, the inverse array and class ids.  Parsing a spec builds no group.
 """
 
 from __future__ import annotations
@@ -86,10 +90,15 @@ class CocycleExtSpec:
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Quotient of ``parent`` by the normal subgroup listed by element form."""
+    """Quotient of ``parent`` by the normal closure of ``seeds``.
+
+    ``seeds`` is ``"center"`` or a tuple of element forms read as
+    :func:`parse_element` reads them in ``parent``.  Building the quotient
+    resolves the subgroup, under the caller's order cap.
+    """
 
     parent: "GroupSpec"
-    normal_forms: tuple
+    seeds: tuple | str
 
 
 @dataclass(frozen=True)
@@ -170,25 +179,6 @@ def mat_inverse(a: tuple, n: int, p: int) -> tuple:
                 f = m[r][col]
                 m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
     return tuple(m[i][n + j] % p for i in range(n) for j in range(n))
-
-
-def mat_det(a: tuple, n: int, p: int) -> int:
-    m = [[a[i * n + j] % p for j in range(n)] for i in range(n)]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = (det * m[col][col]) % p
-        inv_p = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = (m[r][col] * inv_p) % p
-                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
-    return det % p
 
 
 # --------------------------------------------------------------------------
@@ -312,23 +302,15 @@ def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
 
 def _quotient_model(spec: QuotientSpec, cap: int) -> _Model:
     parent = build_group(spec.parent, cap=cap)
-    try:
-        normal = sorted(parent.index[f] for f in spec.normal_forms)
-    except KeyError as e:
-        raise InputError("group_mismatch",
-                         f"normal subgroup form {e.args[0]!r} not in parent")
-    nmask = np.zeros(parent.order, dtype=bool)
-    nmask[normal] = True
-    if not is_subgroup_mask(parent, nmask):
-        raise InputError("not_normal", "listed forms are not a subgroup")
-    if not nmask[parent._conjugations()[:, normal]].all():
-        raise InputError("not_normal", "subgroup is not conjugation-invariant")
-    # coset representative = lowest parent index in the coset
-    rep_of = np.full(parent.order, -1, dtype=np.int64)
-    for i in range(parent.order):
-        if rep_of[i] < 0:
-            coset = [parent.mul(i, k) for k in normal]
-            rep_of[coset] = min(coset)
+    if spec.seeds == "center":
+        nmask = parent.center_mask()
+    else:
+        seeds = [_form_index(parent, f, form_to_text(spec.parent, f))
+                 for f in spec.seeds]
+        nmask = parent.normal_closure_mask(mask_from_indices(parent, seeds))
+    # coset representative = lowest parent index in the coset; the cosets
+    # x·N are the orbits of x ↦ x·s over the seeds s that generate N
+    rep_of = _orbit_min(parent._generate(np.flatnonzero(nmask))[1])
 
     def mul(a, b):
         pa, pb = parent.index[a], parent.index[b]
@@ -346,7 +328,7 @@ def _quotient_model(spec: QuotientSpec, cap: int) -> _Model:
             gens.append(f)
     projection = rep_of  # parent index -> parent index of coset rep
     return _Model(parent.elements[rep_of[0]], gens, mul, inv,
-                  order_hint=parent.order // len(normal),
+                  order_hint=parent.order // int(nmask.sum()),
                   parent=parent, parent_projection=projection)
 
 
@@ -395,6 +377,9 @@ class _CayleyTree:
     with p in an earlier layer.  Since a·b = (a·p)·g_k, a whole Cayley row
     follows from its first entry a·e = a by one gather per layer.
 
+    The same walk from e over the Cayley rows of the g_k^-1 gives the
+    inverses, since b^-1 = g_k^-1·p^-1.
+
     A numpy call costs about as much as fifteen elements walked in plain
     Python, so a tree whose layers average fewer than sixteen elements (a
     long cycle has one per layer) is walked element by element instead.
@@ -410,26 +395,38 @@ class _CayleyTree:
         parent, offset = edges // n_gens, (edges % n_gens) * n
         self._thin, self._steps = None, []
         if n < 16 * (len(layer_ends) - 1):
-            self._thin = (self.right.ravel().tolist(),
-                          list(zip(parent.tolist(), offset.tolist())))
+            self._thin = list(zip(parent.tolist(), offset.tolist()))
         else:
             self._steps = [(lo, hi, parent[lo - 1:hi - 1], offset[lo - 1:hi - 1])
                            for lo, hi in zip(layer_ends, layer_ends[1:])]
+        self._flat_right = self._flat(self.right)
 
-    def row(self, a: int) -> np.ndarray:
+    def _flat(self, tables: np.ndarray):
+        """One table per generator, flattened the way the walk reads them."""
+        flat = tables.ravel()
+        return flat.tolist() if self._thin is not None else flat
+
+    def _walk(self, start: int, flat) -> np.ndarray:
+        """w[0] = start and w[b] = T_k[w[p]] along every tree edge b = p·g_k."""
         n = self.right.shape[1]
         if self._thin is not None:
-            flat, edges = self._thin
-            r = [a] * n
-            for b, (p, k_n) in enumerate(edges, start=1):
-                r[b] = flat[k_n + r[p]]
-            return np.array(r, dtype=np.int64)
-        flat = self.right.ravel()
-        r = np.empty(n, dtype=np.int64)
-        r[0] = a
+            w = [start] * n
+            for b, (p, k_n) in enumerate(self._thin, start=1):
+                w[b] = flat[k_n + w[p]]
+            return np.array(w, dtype=np.int64)
+        w = np.empty(n, dtype=np.int64)
+        w[0] = start
         for lo, hi, parent, offset in self._steps:
-            r[lo:hi] = flat[offset + r[parent]]
-        return r
+            w[lo:hi] = flat[offset + w[parent]]
+        return w
+
+    def row(self, a: int) -> np.ndarray:
+        return self._walk(a, self._flat_right)
+
+    def inverses(self) -> np.ndarray:
+        # x·g_k = e exactly at x = g_k^-1, the only 0 in the table of g_k
+        lefts = [self.row(int(g)) for g in self.right.argmin(axis=1)]
+        return self._walk(0, self._flat(np.array(lefts, dtype=np.int64)))
 
 
 class FiniteGroup:
@@ -467,12 +464,14 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.index[self._model.mul(self.elements[a], self.elements[b])]
 
-    def inv(self, a: int) -> int:
+    def inverses(self) -> np.ndarray:
+        """inverses()[a] = index of a^-1, from the enumeration tree."""
         if self._inv_arr is None:
-            self._inv_arr = np.array(
-                [self.index[self._model.inv(f)] for f in self.elements],
-                dtype=np.int64)
-        return int(self._inv_arr[a])
+            self._inv_arr = self._tree.inverses()
+        return self._inv_arr
+
+    def inv(self, a: int) -> int:
+        return int(self.inverses()[a])
 
     def mul_form(self, fa, fb):
         return self._model.mul(fa, fb)
@@ -516,8 +515,7 @@ class FiniteGroup:
     def _conjugations(self) -> np.ndarray:
         """conj[k, x] = g_k^-1 x g_k for the k-th generator form, from the tables."""
         if self._conj is None:
-            self.inv(0)  # fills self._inv_arr
-            inv, right = self._inv_arr, self._tree.right
+            inv, right = self.inverses(), self._tree.right
             self._conj = inv[np.take_along_axis(right, inv[right], axis=1)]
         return self._conj
 
@@ -526,18 +524,7 @@ class FiniteGroup:
     def conjugacy_classes(self):
         """(class_id array, list of class representatives in index order)."""
         if self._classes is None:
-            conj = self._conjugations()
-            moves = np.concatenate([conj, np.argsort(conj, axis=1)])
-            # each label is an element of its own class and never above its
-            # index; pulling the least label along conjugation both ways and
-            # jumping to the label's label stops at the least class member
-            label = np.arange(self.order)
-            while True:
-                low = np.minimum(label, label[moves].min(axis=0, initial=self.order))
-                low = low[low]
-                if np.array_equal(low, label):
-                    break
-                label = low
+            label = _orbit_min(self._conjugations())
             reps = np.flatnonzero(label == np.arange(self.order))
             self._classes = (np.searchsorted(reps, label), reps.tolist())
         return self._classes
@@ -553,31 +540,29 @@ class FiniteGroup:
 
     def subgroup_closure(self, seeds) -> np.ndarray:
         """Mask of the subgroup generated by the given element indices."""
-        seeds = [s for s in np.atleast_1d(np.asarray(seeds, dtype=np.int64))]
+        return self._generate(seeds)[0]
+
+    def _generate(self, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """The subgroup H = <seeds> as a mask, and maps x ↦ x·s generating it.
+
+        H is the closure of {e} under x ↦ x·s = (s^-1·x^-1)^-1, a gather on
+        the row of s^-1.  Only a seed outside the subgroup so far gets a
+        map, and each such seed at least doubles it, so there are at most
+        log2 |H| maps; their orbits are the cosets x·H.
+        """
+        inv = self.inverses()
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seeds:
-                    y = self.mul(x, int(s))
-                    if not mask[y]:
-                        mask[y] = True
-                        nxt.append(y)
-            frontier = nxt
-        return mask
+        maps = np.empty((0, self.order), dtype=np.int64)
+        for s in np.atleast_1d(np.asarray(seeds, dtype=np.int64)).tolist():
+            if not mask[s]:
+                maps = np.vstack([maps, inv[self.row(int(inv[s]))[inv]]])
+                mask = _close(mask, maps)
+        return mask, maps
 
     def normal_closure_mask(self, seed_mask: np.ndarray) -> np.ndarray:
-        conj = self._conjugations()
-        closed = seed_mask.copy()
-        while True:
-            grown = closed.copy()
-            grown[conj[:, closed]] = True
-            if np.array_equal(grown, closed):
-                break
-            closed = grown
-        return self.subgroup_closure(np.nonzero(closed)[0])
+        closed = _close(seed_mask, self._conjugations())
+        return self.subgroup_closure(np.flatnonzero(closed))
 
     def derived_mask(self) -> np.ndarray:
         """[G, G]: normal closure of commutators of generator pairs."""
@@ -655,11 +640,34 @@ def mask_from_indices(G: FiniteGroup, indices) -> np.ndarray:
     return mask
 
 
+def _close(mask: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Least superset of ``mask`` that every index map ``maps[k]`` keeps."""
+    closed, new = mask.copy(), mask
+    while new.any():
+        hit = np.zeros_like(closed)
+        hit[maps[:, new]] = True
+        new = hit & ~closed
+        closed |= new
+    return closed
+
+
+def _orbit_min(maps: np.ndarray) -> np.ndarray:
+    """label[x] = least element of the orbit of x under the permutations maps[k]."""
+    moves = np.concatenate([maps, np.argsort(maps, axis=1)])
+    # each label is an element of its own orbit and never above its index;
+    # pulling the least label along the maps both ways and jumping to the
+    # label's label stops at the least orbit member
+    label = np.arange(maps.shape[1])
+    while True:
+        low = np.minimum(label, label[moves].min(axis=0, initial=len(label)))
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 def inverse_mask(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros(G.order, dtype=bool)
-    for a in np.nonzero(mask)[0]:
-        out[G.inv(int(a))] = True
-    return out
+    return mask[G.inverses()]
 
 
 def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
@@ -703,14 +711,18 @@ def ball_mask(G: FiniteGroup, mask: np.ndarray, n: int) -> np.ndarray:
 
 
 def is_subgroup_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
-    idx = np.nonzero(mask)[0]
-    if len(idx) == 0 or not mask[0]:
-        return False
-    return all(mask[G.mul(int(a), int(b))] for a in idx for b in idx)
+    """e in S and S·S ⊆ S, which in a finite group makes S a subgroup."""
+    return bool(mask[0] and (product_mask(G, mask, mask) <= mask).all())
 
 
 def is_symmetric_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
     return bool((inverse_mask(G, mask) == mask).all())
+
+
+def is_normal_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
+    """Is the set a union of conjugacy classes?"""
+    cid, reps = G.conjugacy_classes()
+    return bool((mask == mask[np.asarray(reps)[cid]]).all())
 
 
 def quotient_projection(Q: FiniteGroup) -> np.ndarray:
@@ -809,19 +821,13 @@ def surject_onto_prime_cyclic(G: FiniteGroup) -> tuple[int, np.ndarray]:
     # multiplies the subgroup order by exactly p
     while G.order // int(kernel.sum()) > p:
         a = int(np.nonzero(~kernel)[0][0])
-        coset = kernel.copy()
-        acc = a
-        for _ in range(p - 1):
-            coset |= np.array([kernel[G.mul(G.inv(acc), x)] for x in range(G.order)])
-            acc = G.mul(acc, a)
-        kernel = coset
+        kernel = G.subgroup_closure(np.flatnonzero(kernel).tolist() + [a])
     assert G.order // int(kernel.sum()) == p
     a0 = int(np.nonzero(~kernel)[0][0])
     values = np.full(G.order, -1, dtype=np.int64)
     shift = 0
     for c in range(p):
-        for x in np.nonzero(kernel)[0]:
-            values[G.mul(shift, int(x))] = c
+        values[G.row(shift)[kernel]] = c
         shift = G.mul(shift, a0)
     assert (values >= 0).all()
     return p, values
@@ -831,15 +837,19 @@ def surject_onto_prime_cyclic(G: FiniteGroup) -> tuple[int, np.ndarray]:
 # reports
 
 
-def commutator_width(G: FiniteGroup) -> int:
-    """Least n with every element of [G,G] a product of n commutators."""
+def commutator_mask(G: FiniteGroup) -> np.ndarray:
+    """The commutators [a, b] = a^-1·a^b: the union of the sets a^-1·cl(a)."""
+    cid, _ = G.conjugacy_classes()
+    inv = G.inverses()
     comms = np.zeros(G.order, dtype=bool)
     for a in range(G.order):
-        ra = G.row(a)
-        ia = G.inv(a)
-        for b in range(G.order):
-            # [a,b] = (a^-1 b^-1)(a b)
-            comms[G.mul(G.mul(ia, G.inv(b)), int(ra[b]))] = True
+        comms[G.row(int(inv[a]))[cid == cid[a]]] = True
+    return comms
+
+
+def commutator_width(G: FiniteGroup) -> int:
+    """Least n with every element of [G,G] a product of n commutators."""
+    comms = commutator_mask(G)
     derived = G.derived_mask()
     assert (comms <= derived).all()
     # e = [a, a] is a commutator, so the powers grow until they reach [G, G]
@@ -980,16 +990,22 @@ def text_to_form(spec: GroupSpec, text: str):
                 return (text_to_form(left, l), text_to_form(right, r))
     except ValueError:
         raise SpecSyntaxError(0, "integer literal", text)
+    except ZeroDivisionError:  # a modulus 0, which building the group refuses
+        raise InputError("invalid_parameters", "modulus must be >= 1",
+                         spec=repr(spec)) from None
     raise InputError("invalid_parameters", f"unknown spec {spec!r}")
 
 
 def parse_element(G: FiniteGroup, text: str) -> int:
     """Element index from its text form; quotient input names a parent element."""
-    form = text_to_form(G.spec, text)
+    return _form_index(G, text_to_form(G.spec, text), text)
+
+
+def _form_index(G: FiniteGroup, form, text: str) -> int:
     if isinstance(G.spec, QuotientSpec):
         parent = G._model.parent
-        proj = G._model.parent_projection
-        form = parent.elements[proj[parent.index[form]]]
+        rep = G._model.parent_projection[_form_index(parent, form, text)]
+        return G.index[parent.elements[rep]]
     if form not in G.index:
         raise InputError("group_mismatch", f"element {text!r} not in the group")
     return G.index[form]
@@ -1112,28 +1128,25 @@ def _parse_group(p: _Parser) -> GroupSpec:
 
 
 def _parse_quotient(p: _Parser, parent_spec: GroupSpec) -> QuotientSpec:
+    """``center``, or the seeds of ``gen(e1;e2;...)`` as parent forms."""
     p.skip_ws()
-    parent = build_group(parent_spec)
     if p.text[p.pos:p.pos + 6] == "center":
         p.pos += 6
-        idx = np.nonzero(parent.center_mask())[0]
-    else:
-        name = p.ident()
-        if name != "gen":
-            p.pos -= len(name)
-            p.error("'center' or 'gen(...)'")
-        p.expect("(")
-        seeds = []
-        while True:
-            chunk = p.balanced_until(";)").strip()
-            if chunk:
-                seeds.append(parse_element(parent, chunk))
-            p.skip_ws()
-            if p.pos < len(p.text) and p.text[p.pos] == ";":
-                p.pos += 1
-                continue
-            break
-        p.expect(")")
-        idx = np.nonzero(parent.normal_closure_mask(
-            mask_from_indices(parent, seeds or [0])))[0]
-    return QuotientSpec(parent_spec, tuple(parent.elements[int(i)] for i in idx))
+        return QuotientSpec(parent_spec, "center")
+    name = p.ident()
+    if name != "gen":
+        p.pos -= len(name)
+        p.error("'center' or 'gen(...)'")
+    p.expect("(")
+    seeds = []
+    while True:
+        chunk = p.balanced_until(";)").strip()
+        if chunk:
+            seeds.append(text_to_form(parent_spec, chunk))
+        p.skip_ws()
+        if p.pos < len(p.text) and p.text[p.pos] == ";":
+            p.pos += 1
+            continue
+        break
+    p.expect(")")
+    return QuotientSpec(parent_spec, tuple(seeds))

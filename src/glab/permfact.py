@@ -25,6 +25,7 @@ from .groupcore import (
     FiniteGroup,
     SymSpec,
     _cycles_of,
+    is_normal_mask,
     is_symmetric_mask,
     perm_compose,
     perm_inverse,
@@ -302,9 +303,8 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
                          "P misses the identity, so it is not thick")
     if not is_symmetric_mask(G, P):
         raise InputError("not_symmetric", "P must be symmetric")
-    for r in np.nonzero(P)[0]:
-        if not (P >= G.class_mask(int(r))).all():
-            raise InputError("not_normal", "P must be a union of classes")
+    if not is_normal_mask(G, P):
+        raise InputError("not_normal", "P must be a union of classes")
     n = len(G.elements[0])
     form = G.elements[sigma]
     cycles = [tuple(x + 1 for x in c) for c in _cycles_of(form) if len(c) >= 2]

@@ -99,29 +99,30 @@ def is_root(R: RootSystem, v: Vec) -> bool:
     return tuple(v) in set(R.roots)
 
 
+def _solve_rational(a: list[list[int]], b: list[int]) -> list[Fraction]:
+    """Exact solution x of a x = b over Q by Gauss-Jordan; a is invertible."""
+    r = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for col in range(r):
+        piv = next(i for i in range(col, r) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(r):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[r] for row in m]
+
+
 def simple_coefficients(R: RootSystem, root: Vec) -> tuple[int, ...]:
     """Coordinates of ``root`` in the simple-root basis (exact, integral)."""
-    r = len(R.simple)
-    gram = [[Fraction(inner(R.simple[i], R.simple[j])) for j in range(r)]
-            for i in range(r)]
-    rhs = [Fraction(inner(R.simple[i], root)) for i in range(r)]
-    # Gaussian elimination over Q; the Gram matrix of a basis is invertible
-    for col in range(r):
-        piv = next(i for i in range(col, r) if gram[i][col] != 0)
-        gram[col], gram[piv] = gram[piv], gram[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / gram[col][col]
-        gram[col] = [x * inv for x in gram[col]]
-        rhs[col] *= inv
-        for i in range(r):
-            if i != col and gram[i][col] != 0:
-                f = gram[i][col]
-                gram[i] = [x - f * y for x, y in zip(gram[i], gram[col])]
-                rhs[i] -= f * rhs[col]
+    # the Gram matrix of a basis is invertible
+    x = _solve_rational([[inner(a, b) for b in R.simple] for a in R.simple],
+                        [inner(a, root) for a in R.simple])
     coeffs = []
-    for x in rhs:
-        assert x.denominator == 1, "root must be an integer combination"
-        coeffs.append(int(x))
+    for v in x:
+        assert v.denominator == 1, "root must be an integer combination"
+        coeffs.append(int(v))
     assert tuple(sum(c * a[k] for c, a in zip(coeffs, R.simple))
                  for k in range(R.dim)) == tuple(root)
     return tuple(coeffs)
@@ -151,23 +152,9 @@ def root_weight(R: RootSystem, lam: tuple[int, ...], beta: Vec) -> int:
 
 def _rational_seed(R: RootSystem) -> list[Fraction]:
     """Exact solution of C lam = (1,...,1); entrywise positive."""
-    r = R.rank
-    C = [[Fraction(x) for x in row] for row in cartan_matrix(R)]
-    rhs = [Fraction(1)] * r
-    for col in range(r):
-        piv = next(i for i in range(col, r) if C[i][col] != 0)
-        C[col], C[piv] = C[piv], C[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / C[col][col]
-        C[col] = [x * inv for x in C[col]]
-        rhs[col] *= inv
-        for i in range(r):
-            if i != col and C[i][col] != 0:
-                f = C[i][col]
-                C[i] = [x - f * y for x, y in zip(C[i], C[col])]
-                rhs[i] -= f * rhs[col]
-    assert all(x > 0 for x in rhs)
-    return rhs
+    seed = _solve_rational([list(row) for row in cartan_matrix(R)], [1] * R.rank)
+    assert all(x > 0 for x in seed)
+    return seed
 
 
 def lambda_weights(R: RootSystem) -> tuple[int, ...]:

@@ -364,21 +364,18 @@ def normal_core_probe(G: FiniteGroup, cert: dict) -> dict:
     """Experimental: the largest normal subgroup inside P^(3m-2).
 
     Observation-only companion to :func:`generic_subgroup_certificate`,
-    whose result ``cert`` it takes — intersects the subgroup with all of
-    its conjugates and reports the core's order and index.  No pass/fail
-    semantics.
+    whose result ``cert`` it takes — keeps the elements whose whole class
+    lies in the subgroup and reports that core's order and index.  No
+    pass/fail semantics.
     """
     if not cert["is_subgroup"]:
         return {"experimental": True, "core_order": None, "core_index": None,
                 "certificate_m": cert["m"]}
-    core = cert["mask"].copy()
-    for g in range(G.order):
-        conj = np.zeros(G.order, dtype=bool)
-        for x in np.nonzero(core)[0]:
-            conj[G.conj(int(x), g)] = True
-        core &= conj
-        if core.sum() == 1:
-            break
+    # x lies in every conjugate of H iff its whole class lies in H
+    cid, reps = G.conjugacy_classes()
+    leaves = np.zeros(len(reps), dtype=bool)
+    leaves[cid[~cert["mask"]]] = True
+    core = ~leaves[cid]
     assert is_subgroup_mask(G, core)
     return {
         "experimental": True,

@@ -1,8 +1,11 @@
 """Matrix calculus in SL_n(F_p): root elements, relations, transport, Gauss."""
 
+import itertools
+
 import pytest
 
 from glab.chevalley import (
+    _ldu,
     all_roots,
     class_cube,
     commutator_structure_constants,
@@ -181,6 +184,23 @@ def test_gauss_frozen_example(sl25):
     assert res["conjugate"] == (2, 1, 1, 1)
     n, p = 2, 5
     assert mat_mul(mat_mul(res["v"], res["t"], n, p), res["u"], n, p) == res["conjugate"]
+
+
+def _det(rows: list) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j]
+               * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def test_ldu_fails_exactly_at_a_vanishing_leading_minor():
+    """All 3x3 matrices mod 3: no LDU exactly when a leading minor is 0 mod 3."""
+    for m in itertools.product(range(3), repeat=9):
+        vanishes = any(_det([list(m[3 * i:3 * i + k]) for i in range(k)]) % 3 == 0
+                       for k in (1, 2, 3))
+        assert (_ldu(m, 3, 3) is None) == vanishes, m
 
 
 def test_gauss_rejects_central(sl25):

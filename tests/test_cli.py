@@ -293,6 +293,42 @@ def test_ext_cocycle_file_missing(capsys, tmp_path):
     assert rep["error"]["details"]["path"] == str(missing)
 
 
+def test_ext_cocycle_file_table(capsys, tmp_path):
+    """A file holding the carry table builds the same extension as carry."""
+    path = tmp_path / "carry.json"
+    path.write_text(json.dumps([[0, 0], [0, 1]]))
+    code, rep = run_cli(capsys, "ext", "build", "--base", "Cyc(2)", "--p", "2",
+                        "--cocycle", f"file:{path}")
+    assert code == 0
+    assert rep["results"] == {"base_order": 2, "checked": 4,
+                              "identity": "[0|0]", "order": 4, "p": 2}
+
+
+@pytest.mark.parametrize("table", [
+    [["a", "b"], ["c", "d"]],
+    [[0, 0], [0]],
+    [[0, 0], [0, 1.5]],
+    [[0, 0], [0, "1"]],
+    [[0, 0], [0, True]],
+    [[0, 0], [0, 1], [0, 0]],
+    {"table": [[0, 0], [0, 1]]},
+])
+def test_ext_cocycle_file_must_hold_integers(capsys, tmp_path, table):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(table))
+    code, rep = run_cli(capsys, "ext", "build", "--base", "Cyc(2)", "--p", "2",
+                        "--cocycle", f"file:{path}")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_cocycle"
+
+
+def test_quotient_element_outside_the_parent(capsys):
+    code, rep = run_cli(capsys, "thick", "analyze", "--group",
+                        "Quot(SL(2,5),center)", "--set", "class(1,1,1,1)")
+    assert code == 2
+    assert rep["error"]["code"] == "group_mismatch"
+
+
 def test_arc_needs_cyclic_group(capsys):
     code, rep = run_cli(capsys, "thick", "analyze", "--group", "Sym(4)",
                         "--set", "arc(1)")

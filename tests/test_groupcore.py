@@ -8,6 +8,8 @@ from glab.errors import CapExceeded, InputError
 from glab.groupcore import (
     AbSpec,
     CycSpec,
+    QuotientSpec,
+    SymSpec,
     abelian_invariants,
     abelianization_invariants,
     ball_mask,
@@ -290,3 +292,47 @@ def test_order_cap():
         build_group(parse_group_spec("Sym(9)"))
     assert e.value.code == "order_cap_exceeded"
     assert e.value.details["order"] == 362880
+
+
+def test_parsing_builds_no_group(monkeypatch):
+    """A Quot spec names its seeds; the caller's build resolves them."""
+    import glab.groupcore as groupcore
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsing built a group")
+
+    monkeypatch.setattr(groupcore, "build_group", refuse)
+    assert parse_group_spec("Quot(Sym(9),center)") == QuotientSpec(
+        SymSpec(9), "center")
+    assert parse_group_spec("Quot(Sym(4),gen((1,2)(3,4);e))") == QuotientSpec(
+        SymSpec(4), ((1, 0, 3, 2), (0, 1, 2, 3)))
+    assert parse_group_spec("Quot(Cyc(12),gen())") == QuotientSpec(
+        CycSpec(12), ())
+
+
+def test_quotient_is_built_under_the_callers_cap():
+    with pytest.raises(CapExceeded) as e:
+        build_group(parse_group_spec("Quot(Sym(7),center)"), cap=100)
+    assert e.value.details == {"cap": 100, "order": 5040}
+
+
+def test_quotient_seeds_resolve_like_parse_element():
+    with pytest.raises(InputError) as e:
+        build_group(parse_group_spec("Quot(SL(2,5),gen(1,1,1,1))"))
+    assert e.value.code == "group_mismatch"
+    Q = build_group(parse_group_spec("Quot(SL(2,5),center)"))
+    with pytest.raises(InputError) as e:
+        parse_element(Q, "1,1,1,1")
+    assert e.value.code == "group_mismatch"
+    # a quotient of a quotient reads elements of the innermost parent
+    QQ = build_group(parse_group_spec(
+        "Quot(Quot(Sym(4),gen((1,2)(3,4))),gen((1,2,3)))"))
+    assert QQ.order == 2
+    assert parse_element(QQ, "(1,3)(2,4)") == parse_element(QQ, "(2,3,4)") == 0
+    assert parse_element(QQ, "(1,2)") == parse_element(QQ, "(1,2,3,4)") == 1
+
+
+def test_quotient_seed_with_zero_modulus():
+    with pytest.raises(InputError) as e:
+        parse_group_spec("Quot(Cyc(0),gen(1))")
+    assert e.value.code == "invalid_parameters"

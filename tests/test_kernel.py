@@ -1,10 +1,11 @@
-"""Cayley rows, conjugacy classes and centres against the form-level product.
+"""The index-level kernel against the form-level product.
 
-The group kernel computes rows by walking the enumeration tree over
-right-multiplication tables, and classes and centres from conjugation
-tables.  These tests recompute all three with ``mul_form``/``inv_form``
-only, on random small groups of every family, and pin the enumeration
-order of each family's frozen test group.
+The group kernel computes rows and inverses by walking the enumeration
+tree, classes and centres from conjugation tables, and closures, subgroup
+and normality tests and commutators from rows, inverses and class ids.
+These tests recompute all of them with ``mul_form``/``inv_form`` only, on
+random small groups of every family, and pin the enumeration order of each
+family's frozen test group.
 """
 
 import hashlib
@@ -22,7 +23,11 @@ from glab.groupcore import (
     SLSpec,
     SymSpec,
     build_group,
+    commutator_mask,
     element_text,
+    is_normal_mask,
+    is_subgroup_mask,
+    mask_from_indices,
     parse_group_spec,
 )
 
@@ -84,6 +89,39 @@ def _form_rows(G) -> np.ndarray:
                      for fa in G.elements], dtype=np.int64)
 
 
+def _form_inverses(G) -> np.ndarray:
+    return np.array([G.index[G.inv_form(f)] for f in G.elements], dtype=np.int64)
+
+
+def _form_closure(G, rows, seeds, conjugate=False) -> np.ndarray:
+    """Breadth-first closure of {e} ∪ seeds under products from ``rows``.
+
+    With ``conjugate``, the seeds are first closed under conjugation by
+    every element, so the result is the normal closure.
+    """
+    inv = _form_inverses(G)
+    todo = list(seeds)
+    seeds = set(todo)
+    while conjugate and todo:
+        x = todo.pop()
+        for g in range(G.order):
+            y = int(rows[rows[inv[g], x], g])
+            if y not in seeds:
+                seeds.add(y)
+                todo.append(y)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for s in seeds:
+            y = int(rows[x, s])
+            if not mask[y]:
+                mask[y] = True
+                todo.append(y)
+    return mask
+
+
 def _form_classes(G):
     """Class ids and least members, conjugating by every element's form."""
     cid = [-1] * G.order
@@ -98,16 +136,40 @@ def _form_classes(G):
     return cid, reps
 
 
-@given(G=groups())
+@given(G=groups(), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_kernel_matches_form_level_products(G):
+def test_kernel_matches_form_level_products(G, data):
     rows = _form_rows(G)
     assert (np.stack([G.row(a) for a in range(G.order)]) == rows).all()
+    inv = _form_inverses(G)
+    assert (G.inverses() == inv).all()
     cid, reps = G.conjugacy_classes()
     assert (cid.tolist(), reps) == _form_classes(G)
     central = [all(rows[x, g] == rows[g, x] for g in range(G.order))
                for x in range(G.order)]
     assert G.center_mask().tolist() == central
+
+    element = st.integers(0, G.order - 1)
+    seeds = data.draw(st.lists(element, min_size=1, max_size=3))
+    sub = G.subgroup_closure(seeds)
+    assert (sub == _form_closure(G, rows, seeds)).all()
+    normal = G.normal_closure_mask(mask_from_indices(G, seeds))
+    assert (normal == _form_closure(G, rows, seeds, conjugate=True)).all()
+
+    # [a, b] = a^-1 b^-1 a b, every pair multiplied out
+    comms = np.zeros(G.order, dtype=bool)
+    comms[rows[rows[inv[:, None], inv[None, :]], rows]] = True
+    assert (commutator_mask(G) == comms).all()
+
+    bits = data.draw(st.lists(st.booleans(), min_size=G.order, max_size=G.order))
+    for mask in (np.array(bits), sub, normal, sub | np.array(bits)):
+        members = np.flatnonzero(mask)
+        closed = bool(mask[0]) and bool(mask[rows[np.ix_(members, members)]].all())
+        assert is_subgroup_mask(G, mask) == closed
+        # conjugates[g, j] = g^-1 m_j g
+        g = np.arange(G.order)[:, None]
+        conjugates = rows[rows[inv[g], members[None, :]], g]
+        assert is_normal_mask(G, mask) == bool(mask[conjugates].all())
 
 
 @pytest.mark.parametrize("text,layered", [
@@ -118,6 +180,7 @@ def test_both_row_walks_match_form_products(text, layered):
     G = build_group(parse_group_spec(text))
     assert (G._tree._thin is None) == layered
     assert (np.stack([G.row(a) for a in range(G.order)]) == _form_rows(G)).all()
+    assert (G.inverses() == _form_inverses(G)).all()
 
 
 def _digest(G) -> str:
