@@ -14,7 +14,8 @@ Every run prints one JSON report::
 ``results`` is a pure function of ``config`` (any randomness is seeded), so
 serializing it with sorted keys is byte-identical across runs; wall-clock
 noise lives only under ``timings``.  Exit codes: 0 success, 1 a checked
-property failed, 2 bad input, 3 a resource cap was hit.
+property failed, 2 bad input, 3 a resource cap was hit, 4 an internal
+error (any other exception, reported with the code ``internal_error``).
 """
 
 from __future__ import annotations
@@ -343,6 +344,7 @@ def _cocycle_from_args(a):
     base_spec = parse_group_spec(a.base)
     base = build_group(base_spec)
     if a.cocycle == "coboundary":
+        ext.check_extension_order(base, a.p)
         return base_spec, a.p, ext.coboundary_cocycle(base, a.p, seed=a.seed)
     if a.cocycle.startswith("file:"):
         return base_spec, a.p, _read_json(a.cocycle[5:], "cocycle file")
@@ -508,30 +510,38 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one task and print its report; return the exit code."""
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        results = args.handler(args)
-    except ToolkitError as e:
+        results = _clean(args.handler(args))
+    except Exception as e:
+        if isinstance(e, ToolkitError):
+            error = {"code": e.code, "message": e.message,
+                     "details": _clean(e.details)}
+        else:  # a bug: its traceback goes to standard error
+            import traceback
+            traceback.print_exc()
+            error = {"code": "internal_error",
+                     "message": f"{type(e).__name__}: {e}", "details": {}}
         payload = {
             "schema_version": 1,
             "version": __version__,
             "task": getattr(args, "task", args.area),
-            "error": {"code": e.code, "message": e.message,
-                      "details": _clean(e.details)},
+            "error": error,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         if isinstance(e, PropertyFailure):
             return 1
         if isinstance(e, CapExceeded):
             return 3
-        return 2
+        return 2 if isinstance(e, ToolkitError) else 4
     report = {
         "schema_version": 1,
         "version": __version__,
         "task": args.task,
         "config": _clean(_config_of(args)),
-        "results": _clean(results),
+        "results": results,
         "timings": {"total_s": round(time.perf_counter() - t0, 6)},
     }
     print(json.dumps(report, sort_keys=True, indent=2))

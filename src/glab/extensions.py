@@ -14,8 +14,9 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import InputError, PropertyFailure
+from .errors import CapExceeded, InputError, PropertyFailure
 from .groupcore import (
+    DEFAULT_ORDER_CAP,
     CocycleExtSpec,
     FiniteGroup,
     GroupSpec,
@@ -62,10 +63,24 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
     return h
 
 
+def check_extension_order(base: FiniteGroup, p: int,
+                          cap: int = DEFAULT_ORDER_CAP) -> None:
+    """Refuse an extension Z/p x_h H whose order p·|H| exceeds ``cap``."""
+    if p * base.order > cap:
+        raise CapExceeded("order_cap_exceeded",
+                          f"group order {p * base.order} exceeds cap {cap}",
+                          cap=cap, order=p * base.order)
+
+
 def build_extension(base_spec: GroupSpec, p: int, table,
-                    cap: int = 100_000) -> tuple[CocycleExtSpec, FiniteGroup]:
-    """Validate the table and build the extension group Z/p x_h H."""
+                    cap: int = DEFAULT_ORDER_CAP
+                    ) -> tuple[CocycleExtSpec, FiniteGroup]:
+    """Validate the table and build the extension group Z/p x_h H.
+
+    An order p·|H| above ``cap`` is refused before the table is read.
+    """
     base = build_group(base_spec, cap=cap)
+    check_extension_order(base, p, cap)
     h = validate_cocycle(base, table, p)
     spec = CocycleExtSpec(p=p, base=base_spec,
                           values=tuple(int(v) for v in h.reshape(-1)))
@@ -290,6 +305,8 @@ def commutator_expansion_check(G: FiniteGroup, count: int = 10_000,
 
 def coboundary_cocycle(base: FiniteGroup, p: int, seed: int = 0) -> np.ndarray:
     """The coboundary of a random function u: h(x,y) = u(x)+u(y)-u(xy)."""
+    if p < 2:
+        raise InputError("invalid_parameters", "modulus must be >= 2", p=p)
     rng = np.random.default_rng(seed)
     u = rng.integers(0, p, size=base.order)
     M = np.stack([base.row(x) for x in range(base.order)])

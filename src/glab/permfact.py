@@ -17,6 +17,9 @@ large exhaustive sweeps with numpy.
 
 from __future__ import annotations
 
+import math
+from itertools import islice, permutations
+
 import numpy as np
 
 from .errors import InputError, PropertyFailure
@@ -92,52 +95,99 @@ def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
 
 
 # --------------------------------------------------------------------------
-# vectorized cycle builders for the exhaustive scans
+# the chunked instance kernel of the exhaustive scans
+
+CHUNK = 1 << 12
+"""Instances per chunk, so that the arrays of a chunk stay in the cache."""
 
 
-def _perm_rows_for_cycle(n: int, prefix: tuple[int, ...],
-                         tails: np.ndarray, close_to: int | None = None
-                         ) -> np.ndarray:
-    """Image rows for the cycles (prefix, tail) over a batch of tails.
+def _instance_chunks(n: int, fixed: tuple[int, ...], length: int):
+    """Yield the tuples fixed + t, t injective over the other points of
+    range(n), in lexicographic order of t and in chunks of at most CHUNK.
 
-    ``tails`` has shape (K, m); points are 0-based here.  The cycle is
-    prefix followed by the tail row, closing back to prefix[0] (or to
-    ``close_to`` when given).
+    A chunk holds one tuple per column.  A tuple is a head (its first
+    points) and a tail; the head is the shortest for which the tails of
+    one head fit in a chunk.  Heads stream from itertools, the sorted pool
+    of points free of each head comes from one boolean mask per chunk,
+    and the tails are that pool gathered at the injective tuples over its
+    positions, listed once.
     """
-    K, m = tails.shape
-    rows = np.tile(np.arange(n, dtype=np.int64), (K, 1))
-    chain = list(prefix)
-    ar = np.arange(K)
-    for t in range(m + len(prefix)):
-        cur = (np.full(K, chain[t], dtype=np.int64) if t < len(prefix)
-               else tails[:, t - len(prefix)])
-        nxt_t = t + 1
-        if nxt_t < len(prefix):
-            nxt = np.full(K, chain[nxt_t], dtype=np.int64)
-        elif nxt_t < len(prefix) + m:
-            nxt = tails[:, nxt_t - len(prefix)]
-        else:
-            nxt = np.full(K, close_to if close_to is not None else chain[0],
-                          dtype=np.int64)
-        rows[ar, cur] = nxt
+    free = n - len(fixed)
+    head = 0
+    while math.perm(free - head, length - head) > CHUNK:
+        head += 1
+    idx = np.array(list(permutations(range(free - head), length - head)),
+                   dtype=np.intp).T
+    heads = (fixed + h for h in permutations(
+        [p for p in range(n) if p not in fixed], head))
+    width = len(fixed) + head
+    while block := list(islice(heads, CHUNK // idx.shape[1])):
+        H = np.array(block, dtype=np.intp).reshape(len(block), width)
+        k = np.arange(len(H))
+        unused = np.ones((len(H), n), dtype=bool)
+        unused[k[:, None], H] = False
+        pool = np.nonzero(unused)[1].reshape(len(H), n - width)
+        yield np.concatenate(
+            (np.broadcast_to(H.T[:, :, None], (width, len(H), idx.shape[1])),
+             pool[k[None, :, None], idx[:, None, :]])
+        ).reshape(width + len(idx), -1)
+
+
+def _product_rows(identity: np.ndarray, at: np.ndarray, moves) -> np.ndarray:
+    """Image rows of a product of cycles, one row per instance of a chunk.
+
+    ``at[j, k]`` is the flat position of point j of instance k in the
+    chunk's rows, which start as copies of the ``identity`` rows.  A move
+    (src, dst) is the cycle taking point src[i] to point dst[i]; the moves
+    compose left to right on the right of rows R, (R ∘ c)(p) = R(c(p)),
+    by one flat gather and one flat scatter each.
+    """
+    rows = identity[:at.shape[1]].copy()
+    flat = rows.reshape(-1)
+    for src, dst in moves:
+        flat[at[src]] = flat[at[dst]]
     return rows
 
 
-def _permutations_array(pool: list[int], m: int) -> np.ndarray:
-    from itertools import permutations
-    if m == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(permutations(pool, m)), dtype=np.int64)
+def _sweep(n: int, fixed: tuple[int, ...], length: int, lhs, rhs,
+           name: str, fields: dict) -> int:
+    """Check lhs = rhs, two products of cycles, on every instance tuple.
+
+    Instances come from _instance_chunks, and a cycle is a list of tuple
+    positions.  Returns the number of instances.  The first instance in
+    that order whose full image rows differ raises PropertyFailure, with
+    its points (1-based) named by ``fields``: name -> tuple positions, or
+    one position.
+    """
+    lhs, rhs = ([(np.array(c), np.roll(c, -1)) for c in side]
+                for side in (lhs, rhs))
+    identity = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (CHUNK, 1))
+    total = 0
+    for at in _instance_chunks(n, fixed, length):
+        at += n * np.arange(at.shape[1])
+        left = _product_rows(identity, at, lhs)
+        right = _product_rows(identity, at, rhs)
+        if not np.array_equal(left, right):
+            bad = at[:, (left != right).any(axis=1).argmax()] % n + 1
+            raise PropertyFailure(
+                "search_exhausted", f"{name} identity violated",
+                **{k: int(bad[c]) if isinstance(c, int)
+                   else tuple(int(q) for q in bad[c])
+                   for k, c in fields.items()})
+        total += at.shape[1]
+    return total
 
 
 def scan_cycle_quotient(n: int = 12, m_max: int = 3) -> dict:
     """Exhaust the quotient identity over all placements in Sym(n).
 
-    For each list length m <= m_max, every choice of x, a and b with
-    distinct points is instantiated; the two sides are compared as image
-    arrays (b-axis vectorized).  Returns per-length instance counts.
+    For each list length m <= m_max, the instances are the injective
+    tuples (x, a, b) of 2m + 1 points in lexicographic order.  Chunks of
+    them are checked at once on the full image rows of (x,a)^-1 ∘ (x,b)
+    (the inverse being the cycle run backwards) and (x, b, reversed a);
+    a violation reports the first bad instance in that order.  Returns
+    per-length instance counts.
     """
-    from itertools import permutations
     if not 0 <= 2 * m_max + 1 <= n:
         raise InputError("invalid_parameters",
                          "the quotient identity with lists of length m_max "
@@ -145,30 +195,10 @@ def scan_cycle_quotient(n: int = 12, m_max: int = 3) -> dict:
                          n=n, m_max=m_max)
     counts = {}
     for m in range(m_max + 1):
-        total = 0
-        for head in permutations(range(n), m + 1):
-            x, a = head[0], head[1:]
-            pool = [p for p in range(n) if p not in head]
-            tails = _permutations_array(pool, m)
-            # lhs = (x,a)^-1 ∘ (x,b): gather through the fixed inverse
-            inv1 = np.array(perm_inverse(
-                tuple(np.arange(n)) if m == 0 else
-                tuple(_perm_rows_for_cycle(n, (x,) + a,
-                                           np.zeros((1, 0), dtype=np.int64))[0])),
-                dtype=np.int64)
-            s2 = _perm_rows_for_cycle(n, (x,), tails)
-            lhs = inv1[s2]
-            rhs = _perm_rows_for_cycle(n, (x,), np.hstack(
-                [tails, np.tile(np.array(a[::-1], dtype=np.int64), (len(tails), 1))]
-            ) if m else np.zeros((len(tails), 0), dtype=np.int64))
-            if not (lhs == rhs).all():
-                bad = int(np.nonzero((lhs != rhs).any(axis=1))[0][0])
-                raise PropertyFailure("search_exhausted",
-                                      "quotient identity violated",
-                                      x=x + 1, a=tuple(q + 1 for q in a),
-                                      b=tuple(int(q) + 1 for q in tails[bad]))
-            total += len(tails)
-        counts[m] = total
+        a, b = list(range(1, m + 1)), list(range(m + 1, 2 * m + 1))
+        counts[m] = _sweep(n, (), 2 * m + 1, [a[::-1] + [0], [0] + b],
+                           [[0] + b + a[::-1]], "quotient",
+                           {"x": 0, "a": a, "b": b})
     return {"n": n, "counts": counts, "total": sum(counts.values())}
 
 
@@ -181,10 +211,12 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     placements.  Larger shapes are exhausted over the x=1, y=2 slice —
     complete by conjugation-equivariance, which is itself machine-checked
     here on seeded random placements and relabelings — plus seeded random
-    general placements as an independent spot check.  The outer loop runs
-    over the shorter of the two lists so the longer one is vectorized.
+    general placements as an independent spot check.  The instances of a
+    shape are the injective tuples (x, y, shorter list, longer list) in
+    lexicographic order.  Chunks of them are checked at once on the full
+    image rows of (x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b); a violation reports
+    the first bad instance in that order.
     """
-    from itertools import permutations
     rng = np.random.default_rng(seed)
     if shapes is None:
         shapes = [(2 * p + 1, 2 * q + 1)
@@ -197,58 +229,16 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     report = {"n": n, "shapes": {}, "equivariance_checks": 0,
               "random_checks": 0}
 
-    def _fixed_row(prefix: tuple[int, ...]) -> np.ndarray:
-        return _perm_rows_for_cycle(n, prefix,
-                                    np.zeros((1, 0), dtype=np.int64))[0]
-
-    def batch_over_b(x: int, y: int, a: tuple[int, ...], tails: np.ndarray):
-        """All-b batch for fixed x, y, a (0-based); raises on violation."""
-        s1 = _fixed_row((x, y) + a)
-        r1 = _fixed_row((x,) + a)
-        lhs = s1[_perm_rows_for_cycle(n, (x, y), tails)]
-        rhs = r1[_perm_rows_for_cycle(n, (y,), tails)]
-        if not (lhs == rhs).all():
-            bad = int(np.nonzero((lhs != rhs).any(axis=1))[0][0])
-            raise PropertyFailure("search_exhausted", "merge identity violated",
-                                  x=x + 1, y=y + 1,
-                                  a=tuple(q + 1 for q in a),
-                                  b=tuple(int(q) + 1 for q in tails[bad]))
-        return len(tails)
-
-    def batch_over_a(x: int, y: int, b: tuple[int, ...], tails: np.ndarray):
-        """All-a batch for fixed x, y, b; composition gathers along columns."""
-        s2 = _fixed_row((x, y) + b)
-        r2 = _fixed_row((y,) + b)
-        lhs = _perm_rows_for_cycle(n, (x, y), tails)[:, s2]
-        rhs = _perm_rows_for_cycle(n, (x,), tails)[:, r2]
-        if not (lhs == rhs).all():
-            bad = int(np.nonzero((lhs != rhs).any(axis=1))[0][0])
-            raise PropertyFailure("search_exhausted", "merge identity violated",
-                                  x=x + 1, y=y + 1,
-                                  a=tuple(int(q) + 1 for q in tails[bad]),
-                                  b=tuple(q + 1 for q in b))
-        return len(tails)
-
     for la, lb in shapes:
         pts = 2 + la + lb
         mode = "full" if pts <= full_cap_points else "slice"
-        outer_len, inner_len = (la, lb) if la <= lb else (lb, la)
-        over_b = la <= lb
-        total = 0
-        if mode == "full":
-            for head in permutations(range(n), 2 + outer_len):
-                x, y, fixed = head[0], head[1], head[2:]
-                pool = [p for p in range(n) if p not in head]
-                tails = _permutations_array(pool, inner_len)
-                total += (batch_over_b(x, y, fixed, tails) if over_b
-                          else batch_over_a(x, y, fixed, tails))
-        else:
-            x, y = 0, 1
-            for fixed in permutations(range(2, n), outer_len):
-                pool = [p for p in range(2, n) if p not in fixed]
-                tails = _permutations_array(pool, inner_len)
-                total += (batch_over_b(x, y, fixed, tails) if over_b
-                          else batch_over_a(x, y, fixed, tails))
+        shorter = list(range(2, 2 + min(la, lb)))
+        longer = list(range(2 + min(la, lb), pts))
+        a, b = (shorter, longer) if la <= lb else (longer, shorter)
+        fixed = () if mode == "full" else (0, 1)
+        total = _sweep(n, fixed, pts - len(fixed), [[0, 1] + a, [0, 1] + b],
+                       [[0] + a, [1] + b], "merge",
+                       {"x": 0, "y": 1, "a": a, "b": b})
         report["shapes"][f"{la},{lb}"] = {"mode": mode, "instances": total}
 
     # conjugation-equivariance: relabeling by any sigma transports an
@@ -342,12 +332,14 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
         raise InputError("omega_too_small_and_no_fallback",
                          "constructive factors fall outside P and fallback "
                          "is disabled", n=n, thickness=thick)
-    for q1 in np.nonzero(P)[0]:
-        q2 = G.mul(G.inv(int(q1)), sigma)
-        if P[q2]:
-            assert G.mul(int(q1), q2) == sigma
-            return {"mode": "fallback", "q1": int(q1), "q2": int(q2),
-                    "pairs": None, "budget_guaranteed": False}
+    inv = G.inverses()
+    q1s = np.nonzero(P)[0]
+    q2s = inv[G.row(int(inv[sigma]))[q1s]]  # q1^-1 sigma = (sigma^-1 q1)^-1
+    if P[q2s].any():
+        q1, q2 = int(q1s[P[q2s]][0]), int(q2s[P[q2s]][0])
+        assert G.mul(q1, q2) == sigma
+        return {"mode": "fallback", "q1": q1, "q2": q2,
+                "pairs": None, "budget_guaranteed": False}
     raise PropertyFailure("search_exhausted",
                           "sigma is not a product of two elements of P",
                           sigma=sigma)

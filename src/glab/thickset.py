@@ -272,21 +272,24 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     n = G.order
     if cap is None:
         cap = n
-    # x is covered by translate P*g  iff  g in P^-1 x
-    pinv = [G.inv(a) for a in p_idx]
+    # column g of ``right`` is P*g, and x is covered by P*g iff g in P^-1 x,
+    # which is column x of the rows of P^-1, sorted
+    inv = G.inverses()
+    right = np.stack([G.row(a) for a in p_idx])
+    covering = np.stack([G.row(int(inv[a])) for a in p_idx])
+    covering.sort(axis=0)
     full = (1 << n) - 1
 
     @functools.cache
     def translate(g: int) -> int:
         """The translate P*g as a bitmask."""
-        got = 0
-        for a in p_idx:
-            got |= 1 << G.mul(a, g)
-        return got
+        hit = np.zeros(n, dtype=bool)
+        hit[right[:, g]] = True
+        return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(),
+                              "little")
 
-    @functools.cache
     def translators_covering(x: int) -> list[int]:
-        return sorted(G.mul(q, x) for q in pinv)
+        return covering[:, x].tolist()
 
     def cover(limit: int) -> list[int] | None:
         """First cover by at most ``limit`` translates in search order.

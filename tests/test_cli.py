@@ -322,6 +322,28 @@ def test_ext_cocycle_file_must_hold_integers(capsys, tmp_path, table):
     assert rep["error"]["code"] == "invalid_cocycle"
 
 
+@pytest.mark.parametrize("cocycle", ["file", "coboundary"])
+def test_ext_refuses_an_order_over_the_cap_before_the_table(capsys, tmp_path,
+                                                            cocycle):
+    """A modulus beyond int64 is refused by the order cap, not by an
+    overflow while the table is reduced."""
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps([[0, 0], [0, 10 ** 20]]))
+    code, rep = run_cli(capsys, "ext", "build", "--base", "Cyc(2)",
+                        "--p", str(10 ** 21), "--cocycle",
+                        f"file:{path}" if cocycle == "file" else cocycle)
+    assert code == 3
+    assert rep["error"]["code"] == "order_cap_exceeded"
+    assert rep["error"]["details"] == {"cap": 100000, "order": 2 * 10 ** 21}
+
+
+def test_ext_coboundary_refuses_a_modulus_below_2(capsys):
+    code, rep = run_cli(capsys, "ext", "build", "--base", "Cyc(2)",
+                        "--p", "0", "--cocycle", "coboundary")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+
+
 def test_quotient_element_outside_the_parent(capsys):
     code, rep = run_cli(capsys, "thick", "analyze", "--group",
                         "Quot(SL(2,5),center)", "--set", "class(1,1,1,1)")
@@ -376,3 +398,19 @@ def test_exit_3_order_cap(capsys):
     assert code == 3
     assert rep["error"]["code"] == "order_cap_exceeded"
     assert rep["error"]["details"] == {"cap": 100000, "order": 362880}
+
+
+def test_exit_4_internal_error(capsys, monkeypatch):
+    import glab.cli as cli
+
+    def crash(a):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_perm_distance", crash)
+    code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(4)",
+                        "--sigma", "(1,2)", "--tau", "(1,2,3)")
+    assert code == 4
+    assert set(rep) == {"error", "schema_version", "task", "version"}
+    assert rep["task"] == "perm.distance"
+    assert rep["error"] == {"code": "internal_error",
+                            "message": "RuntimeError: boom", "details": {}}

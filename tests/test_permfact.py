@@ -1,9 +1,12 @@
 """Disjoint-cycle surgery identities and two-factor expressions."""
 
-import numpy as np
-import pytest
+import itertools
 from collections import Counter
 
+import numpy as np
+import pytest
+
+import glab.permfact as permfact
 from glab.errors import InputError, PropertyFailure
 from glab.groupcore import (
     element_text,
@@ -129,6 +132,154 @@ def test_scan_merge_slice_mode():
     assert rep["shapes"]["3,3"]["mode"] == "slice"
     # slice fixes x=1, y=2: placements of a, b over the remaining 7 points
     assert rep["shapes"]["3,3"]["instances"] == 210 * 24
+
+
+def test_scan_merge_degree10_shape_3_3():
+    """The heaviest sweep of the perm-sweep benchmark, over many chunks."""
+    rep = scan_merge(10, shapes=[(3, 3)])
+    assert rep["shapes"] == {"3,3": {"mode": "full", "instances": 1814400}}
+
+
+# -- the chunked sweep kernel against a form-level loop
+
+
+def _merge_instances(n, la, lb, sliced):
+    """(tuple, a, b) per merge instance, 0-based, by a plain loop in the
+    sweep's order: tuples (x, y, shorter list, longer list)."""
+    short = min(la, lb)
+    if sliced:
+        tuples = ((0, 1) + t
+                  for t in itertools.permutations(range(2, n), la + lb))
+    else:
+        tuples = itertools.permutations(range(n), 2 + la + lb)
+    for t in tuples:
+        s, l = t[2:2 + short], t[2 + short:]
+        yield (t,) + ((s, l) if la <= lb else (l, s))
+
+
+def _quotient_instances(n, m):
+    for t in itertools.permutations(range(n), 2 * m + 1):
+        yield t, t[1:m + 1], t[m + 1:]
+
+
+def _one_based(points):
+    return tuple(q + 1 for q in points)
+
+
+def _record_kernel(monkeypatch):
+    """Log (instance tuples, image rows) of every side the kernel builds,
+    in chunks of 64 instances so that small sweeps stream many heads."""
+    monkeypatch.setattr(permfact, "CHUNK", 64)
+    log = []
+    build = permfact._product_rows
+
+    def recording(identity, at, moves):
+        rows = build(identity, at, moves)
+        log.append(((at % identity.shape[1]).T.tolist(), rows))
+        return rows
+
+    monkeypatch.setattr(permfact, "_product_rows", recording)
+    return log
+
+
+def _checked(log):
+    """Instances, left rows and right rows in the order they were checked
+    (each chunk builds its left side first)."""
+    return ([tuple(t) for tuples, _ in log[::2] for t in tuples],
+            np.concatenate([rows for _, rows in log[::2]]),
+            np.concatenate([rows for _, rows in log[1::2]]))
+
+
+@pytest.mark.parametrize("n, cap, shapes", [
+    (7, 8, [(1, 1), (1, 3), (3, 1)]),
+    (8, 4, [(1, 1), (1, 3), (3, 1), (3, 3)]),
+])
+def test_scan_merge_matches_a_form_level_loop(monkeypatch, n, cap, shapes):
+    log = _record_kernel(monkeypatch)
+    for la, lb in shapes:
+        log.clear()
+        rep = scan_merge(n, full_cap_points=cap, random_samples=0,
+                         shapes=[(la, lb)])
+        tuples, left, right = _checked(log)
+        want, images = [], []
+        for t, a, b in _merge_instances(n, la, lb, 2 + la + lb > cap):
+            want.append(t)
+            images.append(merge_split(n, t[0] + 1, t[1] + 1, _one_based(a),
+                                      _one_based(b))["result"])
+        assert rep["shapes"][f"{la},{lb}"]["instances"] == len(want)
+        assert tuples == want
+        assert (left == np.array(images)).all()
+        assert (right == np.array(images)).all()
+
+
+def test_scan_cycle_quotient_matches_a_form_level_loop(monkeypatch):
+    log = _record_kernel(monkeypatch)
+    rep = scan_cycle_quotient(7, 3)
+    tuples, left, right = _checked(log)
+    want, images, counts = [], [], {}
+    for m in range(4):
+        for t, a, b in _quotient_instances(7, m):
+            want.append(t)
+            images.append(cycle_quotient(7, t[0] + 1, _one_based(a),
+                                         _one_based(b))["result"])
+            counts[m] = counts.get(m, 0) + 1
+    assert rep["counts"] == counts
+    assert tuples == want
+    assert (left == np.array(images)).all()
+    assert (right == np.array(images)).all()
+
+
+def _break_kernel(monkeypatch, *instances):
+    """Make the kernel build a wrong left side (its image rows reversed)
+    for the given 0-based instance tuples, in chunks of 64 instances."""
+    monkeypatch.setattr(permfact, "CHUNK", 64)
+    build = permfact._product_rows
+    calls = itertools.count()
+
+    def broken(identity, at, moves):
+        rows = build(identity, at, moves)
+        if next(calls) % 2 == 0:  # each chunk builds its left side first
+            tuples = (at % identity.shape[1]).T
+            for t in instances:
+                if len(t) == tuples.shape[1]:
+                    hit = (tuples == t).all(axis=1)
+                    rows[hit] = rows[hit][:, ::-1]
+        return rows
+
+    monkeypatch.setattr(permfact, "_product_rows", broken)
+
+
+@pytest.mark.parametrize("gap", [1, 1000])
+@pytest.mark.parametrize("n, cap, shape, first", [
+    (7, 8, (1, 3), 700),   # la <= lb: the shorter list a comes first
+    (7, 8, (3, 1), 1234),  # la > lb: the shorter list b comes first
+    (8, 4, (3, 3), 300),   # slice x = 1, y = 2
+])
+def test_scan_merge_reports_the_first_violation(monkeypatch, gap, n, cap,
+                                                shape, first):
+    instances = list(_merge_instances(n, *shape, 2 + sum(shape) > cap))
+    t, a, b = instances[first]
+    _break_kernel(monkeypatch, instances[(first + gap) % len(instances)][0], t)
+    with pytest.raises(PropertyFailure) as e:
+        scan_merge(n, full_cap_points=cap, random_samples=0, shapes=[shape])
+    assert e.value.code == "search_exhausted"
+    assert e.value.message == "merge identity violated"
+    assert e.value.details == {"x": t[0] + 1, "y": t[1] + 1,
+                               "a": _one_based(a), "b": _one_based(b)}
+
+
+@pytest.mark.parametrize("gap", [1, 1000])
+def test_scan_cycle_quotient_reports_the_first_violation(monkeypatch, gap):
+    instances = list(_quotient_instances(7, 2))
+    t, a, b = instances[500]
+    _break_kernel(monkeypatch, instances[500 + gap][0], t,
+                  next(_quotient_instances(7, 3))[0])
+    with pytest.raises(PropertyFailure) as e:
+        scan_cycle_quotient(7, 3)
+    assert e.value.code == "search_exhausted"
+    assert e.value.message == "quotient identity violated"
+    assert e.value.details == {"x": t[0] + 1, "a": _one_based(a),
+                               "b": _one_based(b)}
 
 
 # -- two-factor expression over a thick normal set

@@ -205,6 +205,40 @@ def test_genericity_translators_cover(sym4):
     assert len(rep["translators"]) == rep["m"]
 
 
+def _first_cover_form_level(G, P):
+    """genericity's search order over form-level products: the least m, and
+    the first cover found branching on the least uncovered element with
+    its covering translators in index order."""
+    p = [int(a) for a in np.nonzero(P)[0]]
+
+    def search(uncovered, chosen, limit):
+        if not uncovered:
+            return chosen
+        if len(chosen) == limit:
+            return None
+        x = min(uncovered)
+        for g in sorted(G.mul(G.inv(a), x) for a in p):
+            got = search(uncovered - {G.mul(a, g) for a in p}, chosen + [g],
+                         limit)
+            if got is not None:
+                return got
+        return None
+
+    for m in range(1, G.order + 1):
+        got = search(set(range(G.order)), [], m)
+        if got is not None:
+            return {"m": m, "translators": got}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_genericity_matches_a_form_level_search(sym4, seed):
+    """Random sets, neither symmetric nor normal, so that a translate
+    taken on the wrong side would give other translators."""
+    rng = np.random.default_rng(seed)
+    P = mask_from_indices(sym4, rng.choice(24, size=4 + seed, replace=False))
+    assert genericity(sym4, P) == _first_cover_form_level(sym4, P)
+
+
 def test_genericity_errors(cyc6):
     with pytest.raises(InputError):
         genericity(cyc6, np.zeros(6, dtype=bool))
