@@ -160,8 +160,8 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = 20_000) -> list[np.ndarray]:
             key = T.tobytes()
             if key not in seen:
                 if len(seen) >= cap:
-                    raise InputError("order_cap_exceeded",
-                                     "too many subgroups", cap=cap)
+                    raise CapExceeded("order_cap_exceeded",
+                                      "too many subgroups", cap=cap)
                 seen[key] = T
                 queue.append(T)
     return sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))

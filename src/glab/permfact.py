@@ -35,7 +35,7 @@ from .groupcore import (
     perm_to_text,
     power_walk,
 )
-from .thickset import thickness
+from .thickset import EXACT_CLIQUE_CAP, _quotient_clique, thickness
 
 
 def cycle_perm(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
@@ -281,9 +281,10 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     the support budget (n >= thickness * (L - 1) + 1 per produced cycle
     length L, plus two free points so classes do not split) is the
     sufficient condition under which membership is *guaranteed*, and is
-    reported as a flag.  When the constructive factors fall outside P, an
-    exhaustive scan over q1 in P finds a factorization or proves there is
-    none.
+    reported as a flag; the flag needs only an upper bound on the
+    thickness, so its clique search stops at that bound.  When the
+    constructive factors fall outside P, an exhaustive scan over q1 in P
+    finds a factorization or proves there is none.
     """
     if not isinstance(G.spec, (SymSpec, AltSpec)):
         raise InputError("group_mismatch",
@@ -304,13 +305,20 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
         raise InputError("invalid_parameters",
                          "sigma must be an even permutation", sigma=sigma)
 
-    thick = thickness(G, P)["value"]
     produced_lengths = [len(c) for c in odds] + [len(c) + 1 for c in evens]
     supp1 = sum(len(c) for c in odds) + sum(len(evens[k]) + 1
                                             for k in range(0, len(evens), 2))
     supp2 = sum(len(evens[k]) + 1 for k in range(1, len(evens), 2))
-    budget_ok = all(n >= thick * (L - 1) + 1 for L in produced_lengths) \
-        and supp1 + 2 <= n and supp2 + 2 <= n
+    supports_ok = supp1 + 2 <= n and supp2 + 2 <= n
+    # n >= thickness * (L - 1) + 1 for every L iff thickness <= T
+    T = min(((n - 1) // (L - 1) for L in produced_lengths), default=None)
+    if not supports_ok or T is None:
+        budget_ok = supports_ok
+    elif G.order > EXACT_CLIQUE_CAP:
+        budget_ok = thickness(G, P)["value"] <= T
+    else:
+        # thickness <= T iff no P-free clique of size T: stop at that size
+        budget_ok = len(_quotient_clique(G, ~P, cap=T)) < T
 
     q1_form = tuple(range(n))
     q2_form = tuple(range(n))
@@ -331,7 +339,8 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     if not allow_fallback:
         raise InputError("omega_too_small_and_no_fallback",
                          "constructive factors fall outside P and fallback "
-                         "is disabled", n=n, thickness=thick)
+                         "is disabled", n=n,
+                         thickness=thickness(G, P)["value"])
     inv = G.inverses()
     q1s = np.nonzero(P)[0]
     q2s = inv[G.row(int(inv[sigma]))[q1s]]  # q1^-1 sigma = (sigma^-1 q1)^-1

@@ -11,6 +11,13 @@ Everything here is exact and deterministic at laboratory sizes: cliques by
 branch-and-bound over bitmask adjacency (the first maximum found is the
 lexicographically least), minimal covers by iterative deepening from the
 counting bound.  Each routine reports concrete witnesses.
+
+Both searches use the group's symmetry, which leaves every witness as it
+would be without it.  The P-free graph is a Cayley graph, on which left
+translation acts transitively, so the clique search starts from vertex 0;
+it also cuts with a greedy-colouring bound (Tomita and Seki, MCQ, 2003).
+Right translation maps covers to covers of the same size, so the cover
+search tries a single translator at its root.
 """
 
 from __future__ import annotations
@@ -41,29 +48,55 @@ def _pack_bits(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-def _max_clique(adj: list[int], n: int, cap: int | None = None) -> list[int]:
-    """Maximum clique, lexicographically least among the maximum ones.
+def _colour_bound(adj: list[int], cand: int, room: int) -> int:
+    """Greedy colour classes of ``cand`` in index order, counted to room + 1.
+
+    Each class is an independent set, so no clique inside ``cand`` is larger
+    than the number of classes (Tomita and Seki's MCQ bound).  Colouring
+    stops once the count exceeds ``room``, where it can no longer cut.
+    """
+    colours = 0
+    while cand and colours <= room:
+        colours += 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+    return colours
+
+
+def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
+    """Maximum clique of a Cayley graph, lex-least among the maximum ones.
 
     Binary branching on the lowest candidate vertex, include-branch first;
     a branch is cut only when it cannot *strictly* beat the incumbent, so
-    the first maximum recorded is the lex-least.  ``cap`` stops the search
-    as soon as a clique of that size is known.  The include-branch is
-    descended in place and only the exclude-branch is stacked, as the
-    clique length it resumes from and its candidates, so the depth is not
-    bounded by the recursion limit; an exclude-branch that the incumbent
-    already cuts is not stacked at all.
+    the first maximum recorded is the lex-least.  Two bounds cut: the
+    number of candidates and, when that does not cut, the number of greedy
+    colour classes of the candidates.  The search starts from the clique
+    [0]: left translation is an automorphism of a Cayley graph, so some
+    maximum clique contains 0, and a sorted clique starting with 0 is
+    lex-less than any clique without it.  ``cap`` stops the search as soon
+    as a clique of that size is known; one of that size exists iff one
+    containing 0 does, so the cap is reached at the same clique as by a
+    search over all vertices.  The include-branch is descended in place
+    and only the exclude-branch is stacked, as the clique length it
+    resumes from and its candidates, so the depth is not bounded by the
+    recursion limit; an exclude-branch that the incumbent already cuts is
+    not stacked at all.
     """
     best: list[int] = []
-    cur: list[int] = []
+    cur = [0]
     stack: list[tuple[int, int]] = []
-    cand = (1 << n) - 1
+    cand = adj[0]
     while cap is None or len(best) < cap:
         k = len(cur)
-        bound = k + cand.bit_count()
-        if bound > len(best):
+        room = len(best) - k  # a better clique takes more than room from cand
+        size = cand.bit_count()
+        if size > room and _colour_bound(adj, cand, room) > room:
             if cand:
                 low = cand & -cand
-                if bound - 1 > len(best):
+                if size - 1 > room:
                     stack.append((k, cand ^ low))
                 v = low.bit_length() - 1
                 cur.append(v)
@@ -100,7 +133,7 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, exact: bool = True,
         inside = M[G.row(G.inv(a))]  # inside[b] = (a^-1 b in M)
         inside[a] = False
         adj.append(_pack_bits(inside))
-    witness = sorted(_max_clique(adj, n, cap) if exact else _greedy_clique(adj, n))
+    witness = sorted(_max_clique(adj, cap) if exact else _greedy_clique(adj, n))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
             assert M[G.mul(G.inv(a), b)]
@@ -264,7 +297,11 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     Exact minimum cover: iterative deepening starting from the counting
     bound ceil(|G| / |P|); branching always on the lowest-index uncovered
     element, candidate translators in index order, so the reported
-    translator tuple is canonical.
+    translator tuple is canonical.  At the root only the first translator
+    covering e is tried: right translation by g^-1 g' maps a cover that
+    contains g to one of the same size that contains g', so when the first
+    root branch has no cover within the limit, no branch has, and when it
+    has one, the search order finds it there first.
     """
     p_idx = [int(x) for x in np.nonzero(P)[0]]
     if not p_idx:
@@ -296,7 +333,8 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
 
         Depth-first without recursion: each open node is a stack frame
         (uncovered, iterator over its remaining candidate translators),
-        and ``chosen[i]`` is the candidate taken at frame i.
+        and ``chosen[i]`` is the candidate taken at frame i.  The root
+        frame holds the first candidate only.
         """
         chosen: list[int] = []
         stack: list[tuple] = []
@@ -305,7 +343,8 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
             depth = len(chosen)
             if depth < limit and (limit - depth) * len(p_idx) >= uncovered.bit_count():
                 x = (uncovered & -uncovered).bit_length() - 1
-                stack.append((uncovered, iter(translators_covering(x))))
+                gs = translators_covering(x)
+                stack.append((uncovered, iter(gs if depth else gs[:1])))
             while stack:
                 parent, rest = stack[-1]
                 g = next(rest, None)

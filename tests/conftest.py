@@ -1,4 +1,7 @@
-"""Shared fixtures: groups are expensive to enumerate, so build once per session."""
+"""Shared fixtures: groups are expensive to enumerate, so build once per
+session; ``hang_guard`` turns a search that runs away into a failure."""
+
+import signal
 
 import pytest
 
@@ -72,3 +75,20 @@ def sl33():
 @pytest.fixture(scope="session")
 def a5xs3():
     return _group("Prod(Alt(5),Sym(3))")
+
+
+HANG_LIMIT_S = 60
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail the test once it has run HANG_LIMIT_S seconds (SIGALRM), so a
+    search whose pruning broke fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {HANG_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(HANG_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

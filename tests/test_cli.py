@@ -64,6 +64,21 @@ def test_analyze_beyond_the_recursion_limit(capsys):
     assert res["witness_verified"] and res["cover_verified"]
 
 
+def test_analyze_arc_in_cyc60(capsys, hang_guard):
+    """A clique of 15 in a 60-vertex Cayley graph: seconds of branching
+    without the group's symmetry and the colouring bound."""
+    code, rep = run_cli(capsys, "thick", "analyze",
+                        "--group", "Cyc(60)", "--set", "arc(3)")
+    assert code == 0
+    res = rep["results"]
+    assert res["thickness"] == {"status": "exact", "value": 16,
+                                "witness": list(range(0, 60, 4))}
+    assert res["genericity"] == {
+        "m": 9, "translators": [0, 4, 11, 18, 25, 32, 39, 46, 53]}
+    assert res["witness_verified"] and res["cover_verified"]
+    assert res["subgroup_certificate"]["power_order"] == 60
+
+
 # -- determinism: identical reports (minus timings) across repeat runs
 
 

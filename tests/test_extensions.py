@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from glab.errors import InputError
+from glab.errors import CapExceeded, InputError
 from glab.extensions import (
     build_extension,
     carry_cocycle,
@@ -11,6 +11,7 @@ from glab.extensions import (
     commutator_expansion_check,
     complement_scan,
     derived_length_of_subgroup,
+    enumerate_subgroups,
     identity_inverse_check,
     image_bound_check,
     iwasawa_certificate,
@@ -202,3 +203,13 @@ def test_iwasawa_premises(sl25, sym3):
     with pytest.raises(InputError) as e:
         iwasawa_certificate(sl25, center_only, B)
     assert "cover" in e.value.message
+
+
+def test_enumerate_subgroups_cap(sym4):
+    """Sym(4) has 30 subgroups; a cap below that is a cap error (exit 3),
+    like every other ``order_cap_exceeded``."""
+    assert len(enumerate_subgroups(sym4)) == 30
+    with pytest.raises(CapExceeded) as e:
+        enumerate_subgroups(sym4, cap=5)
+    assert e.value.code == "order_cap_exceeded"
+    assert e.value.details == {"cap": 5}

@@ -9,8 +9,10 @@ import pytest
 import glab.permfact as permfact
 from glab.errors import InputError, PropertyFailure
 from glab.groupcore import (
+    build_group,
     element_text,
     parse_element,
+    parse_group_spec,
     perm_compose,
     perm_inverse,
 )
@@ -313,6 +315,49 @@ def test_express_whole_group(alt5):
         assert alt5.mul(got["q1"], got["q2"]) == sigma
         modes[got["mode"]] += 1
     assert modes == Counter({"constructive": 36, "fallback": 24})
+
+
+def _express_or_error(G, P, sigma):
+    try:
+        return express_even(G, P, sigma)
+    except (InputError, PropertyFailure) as e:
+        return e.code
+
+
+def test_express_budget_flag_matches_the_full_thickness(alt5, monkeypatch):
+    """The flag's clique search stops at the bound it needs; over every
+    normal set with e and every class of Alt(5) it gives what a full
+    thickness (the path of groups above the clique cap) gives."""
+    cid, reps = alt5.conjugacy_classes()
+    sets = []
+    for picks in itertools.product((False, True), repeat=len(reps) - 1):
+        P = alt5.class_mask(0).copy()
+        for r, pick in zip(reps[1:], picks):
+            if pick:
+                P |= alt5.class_mask(r)
+        sets.append(P)
+    capped = [_express_or_error(alt5, P, r) for P in sets for r in reps]
+    monkeypatch.setattr(permfact, "EXACT_CLIQUE_CAP", 0)
+    full = [_express_or_error(alt5, P, r) for P in sets for r in reps]
+    assert capped == full
+    flags = Counter(got["budget_guaranteed"] for got in capped
+                    if isinstance(got, dict))
+    assert flags[True] > 0 and flags[False] > 0
+
+
+@pytest.mark.parametrize("cls,mode", [("(1,2,3)", "constructive"),
+                                      ("(1,2)(3,4)", "fallback")])
+def test_express_in_alt6_without_a_full_thickness(hang_guard, cls, mode):
+    """A full clique search on e with the 3-cycles of Alt(6) takes about a
+    minute, and on e with the double transpositions longer; the flag only
+    needs to know whether the thickness is at most 2."""
+    G = build_group(parse_group_spec("Alt(6)"))
+    three = parse_element(G, "(1,2,3)")
+    P = G.class_mask(0) | G.class_mask(parse_element(G, cls))
+    got = express_even(G, P, three)
+    assert got["mode"] == mode and got["budget_guaranteed"] is False
+    assert P[got["q1"]] and P[got["q2"]]
+    assert G.mul(got["q1"], got["q2"]) == three
 
 
 def test_express_rejects_bad_sets(alt5, sym4):

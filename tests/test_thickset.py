@@ -1,5 +1,6 @@
 """Thick sets: thickness, Ramsey intersections, genericity, class balls."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from glab.errors import CapExceeded, InputError
 from glab.groupcore import (
     CycSpec,
     build_group,
+    inverse_mask,
     mask_from_indices,
     parse_element,
     parse_group_spec,
@@ -107,6 +109,200 @@ def test_thickness_witness_replay(cyc12, data):
     for i, a in enumerate(w):
         for b in w[i + 1:]:
             assert not P[cyc12.mul(cyc12.inv(a), b)]
+
+
+# -- the exact searches against exhaustive oracles and unpruned copies
+
+SMALL_GROUPS = ("Sym(3)", "Cyc(12)", "Ab(4,2)", "Sym(4)", "SL(2,3)",
+                "Prod(Sym(3),Cyc(4))", "Cyc(24)")
+
+
+@functools.cache
+def _group(spec):
+    return build_group(parse_group_spec(spec))
+
+
+def _drawn_set(G, data, symmetric):
+    """A set drawn element by element; with e and closed under inverses when
+    ``symmetric``, else made nonempty by one drawn element."""
+    P = np.array(data.draw(st.lists(st.booleans(), min_size=G.order,
+                                    max_size=G.order)), dtype=bool)
+    if symmetric:
+        P[0] = True
+        return P | inverse_mask(G, P)
+    P[data.draw(st.integers(0, G.order - 1))] = True
+    return P
+
+
+def _lex_least_maximum_clique(G, M):
+    """Least sorted clique of largest size in the graph "a^-1 b in M", over
+    form-level products.  Every maximum clique is maximal, and all maximal
+    cliques are listed (Bron-Kerbosch with a pivot), so no bound is used."""
+    n = G.order
+    nbr = {a: {b for b in range(n) if b != a and M[G.mul(G.inv(a), b)]}
+           for a in range(n)}
+    maximal = []
+
+    def extend(clique, cand, done):
+        if not cand and not done:
+            maximal.append(sorted(clique))
+            return
+        pivot = max(cand | done, key=lambda u: len(nbr[u] & cand))
+        for v in sorted(cand - nbr[pivot]):
+            extend(clique | {v}, cand & nbr[v], done & nbr[v])
+            cand = cand - {v}
+            done = done | {v}
+
+    extend(set(), set(range(n)), set())
+    size = max(map(len, maximal))
+    return min(c for c in maximal if len(c) == size)
+
+
+def _least_cover_size(G, P):
+    """Least number of right translates P*g covering G, over form-level
+    products: some translate covers the least uncovered element, so the
+    least cover of a remainder is one of those translates plus the least
+    cover of what it leaves, memoised on the remainder."""
+    p = [int(a) for a in np.nonzero(P)[0]]
+    translates = [frozenset(G.mul(a, g) for a in p) for g in range(G.order)]
+
+    @functools.cache
+    def least(uncovered):
+        if not uncovered:
+            return 0
+        x = min(uncovered)
+        return 1 + min(least(uncovered - t) for t in translates if x in t)
+
+    return least(frozenset(range(G.order)))
+
+
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_clique_witnesses_are_the_lex_least_maximum_cliques(spec, data):
+    G = _group(spec)
+    P = _drawn_set(G, data, symmetric=True)
+    assert thickness(G, P)["witness"] == _lex_least_maximum_clique(G, ~P)
+    S = P.copy()
+    S[0] = False
+    if S.any():
+        assert spread_length(G, S)["witness"] == _lex_least_maximum_clique(G, S)
+
+
+@given(st.sampled_from(SMALL_GROUPS), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_genericity_is_the_least_cover_size(spec, symmetric, data):
+    G = _group(spec)
+    P = _drawn_set(G, data, symmetric)
+    assert genericity(G, P)["m"] == _least_cover_size(G, P)
+
+
+def _unpruned_max_clique(adj, n, cap=None):
+    """The clique search over all vertices with the candidate count as its
+    only bound: the search whose witness the symmetric one must return."""
+    best, cur, stack = [], [], []
+    cand = (1 << n) - 1
+    while cap is None or len(best) < cap:
+        k = len(cur)
+        bound = k + cand.bit_count()
+        if bound > len(best):
+            if cand:
+                low = cand & -cand
+                if bound - 1 > len(best):
+                    stack.append((k, cand ^ low))
+                v = low.bit_length() - 1
+                cur.append(v)
+                cand &= adj[v]
+                continue
+            best = cur.copy()
+        if not stack:
+            break
+        k, cand = stack.pop()
+        del cur[k:]
+    return sorted(best)
+
+
+def _unpruned_cover(G, P):
+    """The cover search that tries every translator at every depth, the
+    root included, by iterative deepening from the counting bound."""
+    n, size = G.order, int(P.sum())
+    p = np.nonzero(P)[0]
+    inv = G.inverses()
+    rows = np.stack([G.row(int(a)) for a in p])  # column g is P*g
+    translate = [_bits(np.isin(np.arange(n), rows[:, g])) for g in range(n)]
+    covering = np.sort(np.stack([G.row(int(inv[a])) for a in p]), axis=0)
+
+    def first(uncovered, limit):
+        if not uncovered:
+            return []
+        if limit * size < uncovered.bit_count():
+            return None
+        x = (uncovered & -uncovered).bit_length() - 1
+        for g in covering[:, x].tolist():
+            rest = first(uncovered & ~translate[g], limit - 1)
+            if rest is not None:
+                return [g] + rest
+        return None
+
+    for m in range(-(-n // size), n + 1):
+        got = first((1 << n) - 1, m)
+        if got is not None:
+            return {"m": m, "translators": got}
+
+
+def _bits(mask):
+    return sum(1 << int(i) for i in np.nonzero(mask)[0])
+
+
+@given(st.sampled_from(["Alt(5)", "Sym(5)"]), st.floats(0.45, 0.8),
+       st.integers(0, 2**32 - 1), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_searches_match_the_unpruned_searches(spec, density, seed, cap):
+    """Same witness, same capped clique and same translators as searches
+    that use neither the group's symmetry nor the colouring bound."""
+    G = _group(spec)
+    P = np.random.default_rng(seed).random(G.order) < density
+    P[0] = True
+    P |= inverse_mask(G, P)
+    inv = G.inverses()
+    adj = [_bits(~P[G.row(int(inv[a]))]) & ~(1 << a) for a in range(G.order)]
+    assert thickness(G, P)["witness"] == _unpruned_max_clique(adj, G.order)
+    assert spread_length(G, ~P, cap=cap)["witness"] == \
+        _unpruned_max_clique(adj, G.order, cap)[:cap]
+    assert genericity(G, P) == _unpruned_cover(G, P)
+
+
+# the four sets whose searches took seconds before the searches used the
+# group's symmetry: e with two symmetrized classes, named by representatives
+HEAVY_SETS = [
+    ("SL(2,5)", ("1,1,1,2", "0,2,2,1"),
+     {"value": 11, "witness": [0, 1, 3, 7, 17, 22, 39, 40, 70, 71],
+      "status": "exact"},
+     {"m": 5, "translators": [0, 8, 9, 60, 70]}),
+    ("SL(2,5)", ("0,2,2,1", "0,2,2,3"),
+     {"value": 11, "witness": [0, 1, 3, 7, 17, 22, 39, 40, 70, 71],
+      "status": "exact"},
+     {"m": 5, "translators": [0, 12, 68, 23, 117]}),
+    ("Quot(SL(2,7),center)", ("1,0,1,1", "2,3,3,5"),
+     {"value": 13,
+      "witness": [0, 4, 6, 24, 32, 38, 103, 131, 135, 147, 160, 163],
+      "status": "exact"},
+     {"m": 4, "translators": [0, 29, 78, 123]}),
+    ("Quot(SL(2,7),center)", ("1,2,2,5", "2,3,3,5"),
+     {"value": 11, "witness": [0, 1, 4, 6, 11, 16, 27, 41, 42, 46],
+      "status": "exact"},
+     {"m": 4, "translators": [0, 67, 73, 30]}),
+]
+
+
+@pytest.mark.parametrize("spec,reps,thick,gen", HEAVY_SETS)
+def test_heavy_normal_sets_frozen(hang_guard, spec, reps, thick, gen):
+    G = _group(spec)
+    P = mask_from_indices(G, [0])
+    for text in reps:
+        C = G.class_mask(parse_element(G, text))
+        P |= C | inverse_mask(G, C)
+    assert thickness(G, P) == thick
+    assert genericity(G, P) == gen
 
 
 # -- Ramsey table and its checkers
