@@ -199,7 +199,6 @@ def enumerate_unipotent_products(n: int, p: int) -> dict:
         prods = np.einsum("kij,sjl->ksil", prods, xs).reshape(-1, n, n) % p
     flat = prods.reshape(len(prods), n * n)
     distinct = len(np.unique(flat, axis=0))
-    unitriangular = True
     iu = np.tril_indices(n, -1)
     unitriangular = bool((prods[:, iu[0], iu[1]] == 0).all()
                          and (prods[:, range(n), range(n)] == 1).all())
@@ -276,10 +275,7 @@ def commutator_structure_constants(n: int, p: int) -> dict:
                 target, expect = None, 0
             for s in range(p):
                 for u in range(p):
-                    xa, xb = x_elem(n, p, a, s), x_elem(n, p, b, u)
-                    comm = mat_mul(
-                        mat_mul(mat_inverse(xa, n, p), mat_inverse(xb, n, p), n, p),
-                        mat_mul(xa, xb, n, p), n, p)
+                    comm = _comm(x_elem(n, p, a, s), x_elem(n, p, b, u), n, p)
                     want = (x_elem(n, p, target, expect * s * u)
                             if target else mat_identity(n))
                     failures += comm != want

@@ -53,6 +53,11 @@ from .groupcore import (
     CycSpec,
     FiniteGroup,
     SLSpec,
+    _call,
+    _integer,
+    _integers,
+    _split_top_level,
+    ball_mask,
     build_group,
     element_text,
     inverse_mask,
@@ -80,40 +85,6 @@ def _clean(obj):
     return obj
 
 
-# --------------------------------------------------------------------------
-# subset expression grammar:
-#   class(<element>) | ball(<e1>;...;<ek>;<radius>) | arc(<k>)
-#   | file(<path>) | sym(<expr>) | union(<expr>,<expr>,...)
-
-
-def _matching_paren(text: str, open_pos: int) -> int:
-    depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise SpecSyntaxError(len(text), "')'", text)
-
-
-def _split_top_level(body: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def _read_json(path: str, what: str):
     """The JSON value in a file; a missing or unreadable file is bad input."""
     try:
@@ -127,70 +98,52 @@ def _read_json(path: str, what: str):
                          path=path, reason=str(e)) from None
 
 
-def parse_subset(G: FiniteGroup, text: str, offset: int = 0) -> np.ndarray:
-    """Evaluate a subset expression to a boolean mask over G's elements."""
-    text = text.strip()
-    open_pos = text.find("(")
-    if open_pos <= 0:
-        raise SpecSyntaxError(offset, "a subset constructor name followed "
-                              "by '('", text)
-    head = text[:open_pos].strip()
-    close = _matching_paren(text, open_pos)
-    if close != len(text) - 1:
-        raise SpecSyntaxError(offset + close + 1, "end of expression", text)
-    body = text[open_pos + 1:close]
+# --------------------------------------------------------------------------
+# subset expression grammar, with the separator of each constructor's
+# arguments (every body is split, which also checks its brackets):
+#   class(<element>) | ball(<e1>;...;<ek>;<radius>) | arc(<k>)
+#   | file(<path>) | sym(<expr>) | union(<expr>,<expr>,...)
+_SUBSET_SEPS = {"class": "", "ball": ";", "arc": "", "file": "", "sym": "",
+                "union": ","}
+
+
+def parse_subset(G: FiniteGroup, text: str, start: int = 0,
+                 end: int | None = None) -> np.ndarray:
+    """Evaluate the subset expression text[start:end] to a boolean mask."""
+    head, lo, hi = _call(text, start, end, _SUBSET_SEPS,
+                         "one of class/ball/arc/file/sym/union")
+    args = _split_top_level(text, _SUBSET_SEPS[head], lo, hi)
     if head == "class":
-        return G.class_mask(parse_element(G, body.strip()))
+        return G.class_mask(parse_element(G, text[lo:hi]))
     if head == "ball":
-        parts = [p.strip() for p in _split_top_level(body, ";")]
-        if len(parts) < 2:
-            raise SpecSyntaxError(offset + open_pos + 1,
-                                  "at least one element and a radius", text)
-        try:
-            radius = int(parts[-1])
-        except ValueError:
-            raise SpecSyntaxError(offset + open_pos + 1 + len(";".join(parts[:-1])),
-                                  "an integer radius last", text) from None
+        if len(args) < 2:
+            raise SpecSyntaxError(hi, "at least one element and a radius", text)
+        radius = _integer(text, *args[-1])
         if radius < 0:
             raise InputError("invalid_parameters", "ball radius must be >= 0",
                              radius=radius)
-        gens = [parse_element(G, p) for p in parts[:-1]]
-        base = mask_from_indices(G, gens)
-        return ball_mask_sym(G, base, radius)
+        base = mask_from_indices(G, [parse_element(G, text[i:j])
+                                     for i, j in args[:-1]])
+        return ball_mask(G, base | inverse_mask(G, base), radius)
     if head == "arc":
         if not isinstance(G.spec, CycSpec):
             raise InputError("group_mismatch", "arc(...) needs a cyclic group")
-        try:
-            k = int(body.strip())
-        except ValueError:
-            raise SpecSyntaxError(offset + open_pos + 1, "an integer", text) \
-                from None
         n = G.spec.modulus
-        return mask_from_indices(
-            G, [G.index[v % n] for v in range(-k, k + 1)])
+        k = min(_integer(text, lo, hi), n)  # wider arcs are all of Cyc(n)
+        return mask_from_indices(G, [G.index[v % n] for v in range(-k, k + 1)])
     if head == "file":
-        names = _read_json(body.strip(), "subset file")
+        names = _read_json(text[lo:hi].strip(), "subset file")
         if not isinstance(names, list):
             raise InputError("invalid_parameters",
                              "subset file must hold a JSON list of elements")
         return mask_from_indices(G, [parse_element(G, str(s)) for s in names])
     if head == "sym":
-        inner = parse_subset(G, body, offset + open_pos + 1)
+        inner = parse_subset(G, text, lo, hi)
         return inner | inverse_mask(G, inner)
-    if head == "union":
-        out = np.zeros(G.order, dtype=bool)
-        pos = offset + open_pos + 1
-        for part in _split_top_level(body, ","):
-            out |= parse_subset(G, part, pos)
-            pos += len(part) + 1
-        return out
-    raise SpecSyntaxError(offset, "one of class/ball/arc/file/sym/union", text)
-
-
-def ball_mask_sym(G: FiniteGroup, base: np.ndarray, radius: int) -> np.ndarray:
-    """Word ball: (base ∪ base^-1 ∪ {e})^radius."""
-    from .groupcore import ball_mask
-    return ball_mask(G, base | inverse_mask(G, base), radius)
+    out = np.zeros(G.order, dtype=bool)
+    for i, j in args:
+        out |= parse_subset(G, text, i, j)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +201,9 @@ def _run_chev_class_cube(a) -> dict:
     n, p = a.rank + 1, a.p
     G = build_group(SLSpec(n, p))
     if a.t is not None:
-        entries = tuple(int(v) for v in a.t.split(","))
+        entries = tuple(_integers(a.t))
+        if len(entries) != n:
+            raise SpecSyntaxError(0, f"{n} diagonal entries", a.t)
         mats = [diag_matrix(entries, p)]
     else:
         mats = regular_diagonals(n, p)

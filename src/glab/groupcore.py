@@ -27,7 +27,12 @@ Subsets of a group are plain ``numpy`` boolean arrays over element indices.
 Their algebra (:func:`inverse_mask`, :func:`product_mask`, subgroup and
 normal closures through one closure loop, :func:`is_subgroup_mask`,
 :func:`is_normal_mask`, commutators, quotient cosets as orbits) uses only
-rows, the inverse array and class ids.  Parsing a spec builds no group.
+rows, the inverse array and class ids.
+
+Group specs, element texts and the CLI's subset expressions share three
+readers: a bracket splitter (at most ``MAX_NESTING`` deep, so no input
+reaches the recursion limit), a ``name(body)`` reader and an integer
+reader (ASCII digits after an optional '-').  Parsing builds no group.
 """
 
 from __future__ import annotations
@@ -872,6 +877,84 @@ def structure_report(G: FiniteGroup) -> dict:
 
 
 # --------------------------------------------------------------------------
+# text grammar: readers of spans [start, end) of one text, so that every
+# error position points into the text the caller gave
+
+
+MAX_NESTING = 64  # deepest bracket nesting inside one pair of brackets
+
+
+def _split_top_level(text: str, seps: str, start: int,
+                     end: int) -> list[tuple[int, int]]:
+    """Spans of the parts of text[start:end] between top-level separators.
+
+    A separator is a character of ``seps`` outside every bracket; ``(`` and
+    ``[`` open a bracket, ``)`` and ``]`` close one.  Unbalanced brackets,
+    and brackets nested deeper than MAX_NESTING, are syntax errors.  One
+    pass over the characters.
+    """
+    spans, depth, lo = [], 0, start
+    for i, ch in enumerate(text[start:end], start):
+        if ch in "([":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise SpecSyntaxError(
+                    i, f"brackets nested at most {MAX_NESTING} deep", text)
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise SpecSyntaxError(i, "balanced brackets", text)
+        elif depth == 0 and ch in seps:
+            spans.append((lo, i))
+            lo = i + 1
+    if depth:
+        raise SpecSyntaxError(end, "a closing bracket", text)
+    spans.append((lo, end))
+    return spans
+
+
+def _call(text: str, start: int, end: int | None, names,
+          expected: str) -> tuple[str, int, int]:
+    """The name and the body's span of ``name(body)``, which fills
+    text[start:end] up to blanks; the body is not scanned here.  A name
+    outside ``names`` is a syntax error at the name, ``expected`` its hint."""
+    end = len(text) if end is None else end
+    open_ = text.find("(", start, end)
+    name = text[start:open_].strip()
+    if open_ < 0 or name not in names:
+        raise SpecSyntaxError(end - len(text[start:end].lstrip()), expected, text)
+    close = open_ + len(text[open_:end].rstrip()) - 1
+    if text[close] != ")" or close == open_:
+        raise SpecSyntaxError(close + 1, "')'", text)
+    return name, open_ + 1, close
+
+
+def _integer(text: str, start: int = 0, end: int | None = None) -> int:
+    """The integer in text[start:end]: ASCII digits after an optional '-',
+    with blanks around them."""
+    end = len(text) if end is None else end
+    token = text[start:end].strip()
+    digits = token.removeprefix("-")
+    if digits.isdigit() and digits.isascii():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise SpecSyntaxError(end - len(text[start:end].lstrip()), "an integer", text)
+
+
+def _integers(text: str, start: int = 0, end: int | None = None) -> list[int]:
+    """The comma-separated integers in text[start:end]; no bracket is part
+    of an integer, so a plain split accepts what a top-level split would."""
+    end = len(text) if end is None else end
+    out = []
+    for part in text[start:end].split(","):
+        out.append(_integer(text, start, start + len(part)))
+        start += len(part) + 1
+    return out
+
+
+# --------------------------------------------------------------------------
 # element text forms (used by the CLI and reports)
 
 
@@ -897,31 +980,25 @@ def perm_to_text(perm: tuple) -> str:
 
 
 def text_to_perm(text: str, degree: int) -> tuple:
+    """0-based images of disjoint cycles such as ``(1,2)(3,4)``; the
+    identity is ``e``, ``()`` or ``id``."""
     text = text.strip()
-    if text in ("e", "()", "id"):
-        return tuple(range(degree))
     images = list(range(degree))
-    pos = 0
-    touched = set()
-    while pos < len(text):
-        if text[pos] != "(":
-            raise SpecSyntaxError(pos, "'('", text)
-        close = text.find(")", pos)
-        if close < 0:
-            raise SpecSyntaxError(len(text), "')'", text)
-        body = text[pos + 1:close]
-        try:
-            pts = [int(t) - 1 for t in body.split(",")]
-        except ValueError:
-            raise SpecSyntaxError(pos + 1, "comma-separated points", text)
+    if text in ("e", "()", "id"):
+        return tuple(images)
+    if not (text.startswith("(") and text.endswith(")")):
+        raise SpecSyntaxError(0, "cycles such as (1,2)(3,4)", text)
+    pos, touched = 1, set()
+    for body in text[1:-1].split(")("):
+        pts = [v - 1 for v in _integers(text, pos, pos + len(body))]
         if any(x < 0 or x >= degree for x in pts):
-            raise SpecSyntaxError(pos + 1, f"points in 1..{degree}", text)
+            raise SpecSyntaxError(pos, f"points in 1..{degree}", text)
         if len(set(pts)) != len(pts) or touched & set(pts):
-            raise SpecSyntaxError(pos + 1, "disjoint cycles", text)
+            raise SpecSyntaxError(pos, "disjoint cycles", text)
         touched |= set(pts)
         for i, x in enumerate(pts):
             images[x] = pts[(i + 1) % len(pts)]
-        pos = close + 1
+        pos += len(body) + 2
     return tuple(images)
 
 
@@ -944,19 +1021,14 @@ def form_to_text(spec: GroupSpec, form) -> str:
     raise InputError("invalid_parameters", f"unknown spec {spec!r}")
 
 
-def _split_bracket_pair(text: str) -> tuple[str, str]:
+def _pair(text: str) -> list[str]:
+    """The two sides of ``[left|right]``."""
     if not (text.startswith("[") and text.endswith("]")):
         raise SpecSyntaxError(0, "'[left|right]'", text)
-    body = text[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return body[:i], body[i + 1:]
-    raise SpecSyntaxError(len(text), "top-level '|'", text)
+    sides = _split_top_level(text, "|", 1, len(text) - 1)
+    if len(sides) != 2:
+        raise SpecSyntaxError(len(text) - 1, "one top-level '|'", text)
+    return [text[i:j] for i, j in sides]
 
 
 def text_to_form(spec: GroupSpec, text: str):
@@ -964,32 +1036,28 @@ def text_to_form(spec: GroupSpec, text: str):
     try:
         match spec:
             case CycSpec(modulus=k):
-                return int(text) % k
+                return _integer(text) % k
             case AbSpec(moduli=mods):
-                inner = text.strip()
-                if inner.startswith("(") and inner.endswith(")"):
-                    inner = inner[1:-1]
-                vals = [int(t) for t in inner.split(",")]
+                parens = text.startswith("(") and text.endswith(")")
+                vals = _integers(text, 1, len(text) - 1) if parens else _integers(text)
                 if len(vals) != len(mods):
                     raise SpecSyntaxError(0, f"{len(mods)} coordinates", text)
                 return tuple(v % m for v, m in zip(vals, mods))
             case SymSpec(degree=n) | AltSpec(degree=n):
                 return text_to_perm(text, n)
             case SLSpec(n=n, p=p):
-                vals = [int(t) % p for t in text.split(",")]
+                vals = [v % p for v in _integers(text)]
                 if len(vals) != n * n:
                     raise SpecSyntaxError(0, f"{n * n} entries", text)
                 return tuple(vals)
             case CocycleExtSpec(p=p, base=base):
-                l, r = _split_bracket_pair(text)
-                return (int(l) % p, text_to_form(base, r))
+                l, r = _pair(text)
+                return (_integer(l) % p, text_to_form(base, r))
             case QuotientSpec(parent=parent):
                 return text_to_form(parent, text)
             case ProductSpec(left=left, right=right):
-                l, r = _split_bracket_pair(text)
+                l, r = _pair(text)
                 return (text_to_form(left, l), text_to_form(right, r))
-    except ValueError:
-        raise SpecSyntaxError(0, "integer literal", text)
     except ZeroDivisionError:  # a modulus 0, which building the group refuses
         raise InputError("invalid_parameters", "modulus must be >= 1",
                          spec=repr(spec)) from None
@@ -998,6 +1066,7 @@ def text_to_form(spec: GroupSpec, text: str):
 
 def parse_element(G: FiniteGroup, text: str) -> int:
     """Element index from its text form; quotient input names a parent element."""
+    text = text.strip()
     return _form_index(G, text_to_form(G.spec, text), text)
 
 
@@ -1017,136 +1086,37 @@ def element_text(G: FiniteGroup, i: int) -> str:
 
 # --------------------------------------------------------------------------
 # group spec grammar:  Cyc(12) | Ab(4,2) | Sym(6) | Alt(5) | SL(2,5)
-#                      | Prod(A,B) | Quot(A,center) | Quot(A,gen(...))
+#                      | Prod(A,B) | Quot(A,center) | Quot(A,gen(e1;e2;...))
+
+# family: (spec constructor, number of arguments; None for one or more)
+_FAMILIES = {
+    "Cyc": (CycSpec, 1), "Ab": (lambda *moduli: AbSpec(moduli), None),
+    "Sym": (SymSpec, 1), "Alt": (AltSpec, 1), "SL": (SLSpec, 2),
+    "Prod": (ProductSpec, 2), "Quot": (QuotientSpec, 2),
+}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def parse_group_spec(text: str, start: int = 0, end: int | None = None) -> GroupSpec:
+    """The spec that text[start:end] names; no group is built.
 
-    def error(self, expected: str):
-        raise SpecSyntaxError(self.pos, expected, self.text)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"'{ch}'")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            self.error("a name")
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("an integer")
-        return int(self.text[start:self.pos])
-
-    def int_list(self) -> list[int]:
-        out = [self.integer()]
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                out.append(self.integer())
-            else:
-                return out
-
-    def balanced_until(self, stops: str) -> str:
-        """Consume text until a top-level stop character; return it."""
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if depth == 0 and (ch in stops or ch in ")]"):
-                break
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def parse_group_spec(text: str) -> GroupSpec:
-    p = _Parser(text)
-    spec = _parse_group(p)
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("end of input")
-    return spec
-
-
-def _parse_group(p: _Parser) -> GroupSpec:
-    p.skip_ws()
-    name_start = p.pos
-    name = p.ident()
-    p.expect("(")
-    if name == "Cyc":
-        spec = CycSpec(p.integer())
-    elif name == "Ab":
-        spec = AbSpec(tuple(p.int_list()))
-    elif name == "Sym":
-        spec = SymSpec(p.integer())
-    elif name == "Alt":
-        spec = AltSpec(p.integer())
-    elif name == "SL":
-        n = p.integer()
-        p.expect(",")
-        spec = SLSpec(n, p.integer())
-    elif name == "Prod":
-        left = _parse_group(p)
-        p.expect(",")
-        right = _parse_group(p)
-        spec = ProductSpec(left, right)
-    elif name == "Quot":
-        parent = _parse_group(p)
-        p.expect(",")
-        spec = _parse_quotient(p, parent)
-    else:
-        p.pos = name_start  # point at the unknown family name itself
-        p.error("a group family (Cyc/Ab/Sym/Alt/SL/Prod/Quot)")
-    p.expect(")")
-    return spec
-
-
-def _parse_quotient(p: _Parser, parent_spec: GroupSpec) -> QuotientSpec:
-    """``center``, or the seeds of ``gen(e1;e2;...)`` as parent forms."""
-    p.skip_ws()
-    if p.text[p.pos:p.pos + 6] == "center":
-        p.pos += 6
-        return QuotientSpec(parent_spec, "center")
-    name = p.ident()
-    if name != "gen":
-        p.pos -= len(name)
-        p.error("'center' or 'gen(...)'")
-    p.expect("(")
-    seeds = []
-    while True:
-        chunk = p.balanced_until(";)").strip()
-        if chunk:
-            seeds.append(text_to_form(parent_spec, chunk))
-        p.skip_ws()
-        if p.pos < len(p.text) and p.text[p.pos] == ";":
-            p.pos += 1
-            continue
-        break
-    p.expect(")")
-    return QuotientSpec(parent_spec, tuple(seeds))
+    The seeds of ``gen(...)`` are element texts of the quotient's parent,
+    separated by ';', and are read into forms here.
+    """
+    name, lo, hi = _call(text, start, end, _FAMILIES,
+                         "a group family (Cyc/Ab/Sym/Alt/SL/Prod/Quot)")
+    make, arity = _FAMILIES[name]
+    args = _split_top_level(text, ",", lo, hi)
+    if arity is not None and len(args) != arity:
+        raise SpecSyntaxError(args[min(arity, len(args)) - 1][1],
+                              "')'" if len(args) > arity else "','", text)
+    if name == "Prod":
+        return make(*[parse_group_spec(text, i, j) for i, j in args])
+    if name != "Quot":
+        return make(*[_integer(text, i, j) for i, j in args])
+    parent = parse_group_spec(text, *args[0])
+    i, j = args[1]
+    if text[i:j].strip() == "center":
+        return make(parent, "center")
+    _, lo, hi = _call(text, i, j, ("gen",), "'center' or 'gen(...)'")
+    seeds = [text[a:b] for a, b in _split_top_level(text, ";", lo, hi)]
+    return make(parent, tuple(text_to_form(parent, s) for s in seeds if s.strip()))

@@ -339,8 +339,7 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     if not allow_fallback:
         raise InputError("omega_too_small_and_no_fallback",
                          "constructive factors fall outside P and fallback "
-                         "is disabled", n=n,
-                         thickness=thickness(G, P)["value"])
+                         "is disabled", n=n)
     inv = G.inverses()
     q1s = np.nonzero(P)[0]
     q2s = inv[G.row(int(inv[sigma]))[q1s]]  # q1^-1 sigma = (sigma^-1 q1)^-1

@@ -322,8 +322,7 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
         """The translate P*g as a bitmask."""
         hit = np.zeros(n, dtype=bool)
         hit[right[:, g]] = True
-        return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(),
-                              "little")
+        return _pack_bits(hit)
 
     def translators_covering(x: int) -> list[int]:
         return covering[:, x].tolist()

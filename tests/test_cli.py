@@ -407,6 +407,52 @@ def test_exit_2_group_syntax(capsys):
     assert rep["error"]["details"]["position"] == 0
 
 
+DEEP = 3000
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("thick", "analyze", "--group", "Cyc(²)", "--set", "arc(1)"),
+                 id="superscript-digit"),
+    pytest.param(("thick", "analyze", "--group", "Cyc(١٢)", "--set", "arc(1)"),
+                 id="arabic-indic-digits"),
+    pytest.param(("thick", "analyze", "--group", "Cyc(12)",
+                  "--set", "class(1_1)"), id="underscore-in-element"),
+    pytest.param(("thick", "analyze", "--group", "Cyc(12)",
+                  "--set", "arc(1_0)"), id="underscore-in-arc"),
+    pytest.param(("thick", "analyze", "--group",
+                  "Prod(" * DEEP + "Cyc(2)" + ",Cyc(2))" * DEEP,
+                  "--set", "class(e)"), id="deep-prod"),
+    pytest.param(("thick", "analyze", "--group", "Sym(3)",
+                  "--set", "sym(" * DEEP + "class(e)" + ")" * DEEP),
+                 id="deep-sym"),
+    pytest.param(("thick", "analyze", "--group", "Sym(3)", "--set", "class()"),
+                 id="empty-class"),
+    pytest.param(("thick", "analyze", "--group", "Sym(3)", "--set", "ball(;1)"),
+                 id="empty-ball-element"),
+    pytest.param(("perm", "distance", "--group", "Prod(Sym(3),Sym(3))",
+                  "--sigma", "[|(1,2)]", "--tau", "[e|e]"), id="empty-left"),
+    pytest.param(("chevalley", "class-cube", "--rank", "1", "--p", "5",
+                  "--t", "2,3,1"), id="diagonal-too-long"),
+    pytest.param(("chevalley", "class-cube", "--rank", "1", "--p", "5",
+                  "--t", "2,x"), id="diagonal-not-integers"),
+])
+def test_exit_2_grammar_probes(capsys, argv):
+    """Inputs that once ended in an uncaught exception, hit the recursion
+    limit, or were read with non-ASCII digits or as the identity."""
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["code"] == "syntax_error"
+
+
+def test_express_no_fallback_in_alt6(capsys, hang_guard):
+    code, rep = run_cli(capsys, "perm", "express", "--group", "Alt(6)",
+                        "--set", "union(class(e),class((1,2)(3,4)))",
+                        "--sigma", "(1,2,3)", "--no-fallback")
+    assert code == 2
+    assert rep["error"]["code"] == "omega_too_small_and_no_fallback"
+    assert rep["error"]["details"] == {"n": 6}
+
+
 def test_exit_3_order_cap(capsys):
     code, rep = run_cli(capsys, "thick", "analyze",
                         "--group", "Sym(9)", "--set", "arc(1)")

@@ -399,6 +399,17 @@ def test_express_no_fallback(alt5):
     assert e.value.code == "omega_too_small_and_no_fallback"
 
 
+def test_express_no_fallback_in_alt6(hang_guard):
+    """The error names no thickness: a full clique search on e with the
+    double transpositions of Alt(6) runs for minutes."""
+    G = build_group(parse_group_spec("Alt(6)"))
+    P = G.class_mask(0) | G.class_mask(parse_element(G, "(1,2)(3,4)"))
+    with pytest.raises(InputError) as e:
+        express_even(G, P, parse_element(G, "(1,2,3)"), allow_fallback=False)
+    assert e.value.code == "omega_too_small_and_no_fallback"
+    assert e.value.details == {"n": 6}
+
+
 def test_express_set_squares_to_whole_group(alt5):
     from glab.groupcore import product_mask
     P = _alt5_small_support_set(alt5)
