@@ -345,6 +345,16 @@ def _run_ext_iwasawa(a) -> dict:
 # parser assembly
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read like every integer of spec text: ASCII
+    digits after an optional '-'."""
+    try:
+        return _integer(text)
+    except SpecSyntaxError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="glab", description="finite group laboratory")
@@ -356,23 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     c1 = chev_sub.add_parser("verify-relations",
                              help="generator relations in SL(rank+1, p)")
-    c1.add_argument("--rank", type=int, required=True)
-    c1.add_argument("--p", type=int, required=True)
+    c1.add_argument("--rank", type=_int_option, required=True)
+    c1.add_argument("--p", type=_int_option, required=True)
     c1.set_defaults(handler=_run_chev_relations, task="chevalley.verify-relations")
 
     c2 = chev_sub.add_parser("class-cube",
                              help="class square/cube coverage for regular "
                                   "diagonals")
-    c2.add_argument("--rank", type=int, required=True)
-    c2.add_argument("--p", type=int, required=True)
+    c2.add_argument("--rank", type=_int_option, required=True)
+    c2.add_argument("--p", type=_int_option, required=True)
     c2.add_argument("--t", type=str, default=None,
                     help="diagonal entries d1,d2,... (default: all regular)")
     c2.set_defaults(handler=_run_chev_class_cube, task="chevalley.class-cube")
 
     c3 = chev_sub.add_parser("gauss",
                              help="conjugate to a prescribed Gauss diagonal")
-    c3.add_argument("--rank", type=int, required=True)
-    c3.add_argument("--p", type=int, required=True)
+    c3.add_argument("--rank", type=_int_option, required=True)
+    c3.add_argument("--p", type=_int_option, required=True)
     c3.add_argument("--g", type=str, required=True,
                     help="group element, row-major entries a,b,c,...")
     c3.add_argument("--t", type=str, required=True,
@@ -382,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     c4 = chev_sub.add_parser("sequence",
                              help="torus sequence with regular quotients")
     c4.add_argument("--family", type=str, default="A")
-    c4.add_argument("--rank", type=int, required=True)
-    c4.add_argument("--p", type=int, required=True)
-    c4.add_argument("--m", type=int, required=True)
+    c4.add_argument("--rank", type=_int_option, required=True)
+    c4.add_argument("--p", type=_int_option, required=True)
+    c4.add_argument("--m", type=_int_option, required=True)
     c4.set_defaults(handler=_run_chev_sequence, task="chevalley.sequence")
 
     thick = areas.add_parser("thick", help="thickness and genericity")
@@ -401,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     perm_sub = perm.add_subparsers(dest="task", required=True)
 
     p1 = perm_sub.add_parser("identities", help="sweep both cycle identities")
-    p1.add_argument("--n", type=int, default=8)
-    p1.add_argument("--m-max", type=int, default=2)
-    p1.add_argument("--half-max", type=int, default=1)
-    p1.add_argument("--full-cap", type=int, default=8)
-    p1.add_argument("--seed", type=int, default=0)
-    p1.add_argument("--samples", type=int, default=200)
+    p1.add_argument("--n", type=_int_option, default=8)
+    p1.add_argument("--m-max", type=_int_option, default=2)
+    p1.add_argument("--half-max", type=_int_option, default=1)
+    p1.add_argument("--full-cap", type=_int_option, default=8)
+    p1.add_argument("--seed", type=_int_option, default=0)
+    p1.add_argument("--samples", type=_int_option, default=200)
     p1.set_defaults(handler=_run_perm_identities, task="perm.identities")
 
     p2 = perm_sub.add_parser("express",
@@ -421,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--group", type=str, required=True)
     p3.add_argument("--sigma", type=str, required=True)
     p3.add_argument("--tau", type=str, required=True)
-    p3.add_argument("--cap", type=int, default=None)
+    p3.add_argument("--cap", type=_int_option, default=None)
     p3.set_defaults(handler=_run_perm_distance, task="perm.distance")
 
     exta = areas.add_parser("ext", help="central extensions by cocycles")
@@ -430,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     def _cocycle_args(sp):
         sp.add_argument("--base", type=str, default="Cyc(2)",
                         help="base group spec (ignored for carry)")
-        sp.add_argument("--p", type=int, default=2)
+        sp.add_argument("--p", type=_int_option, default=2)
         sp.add_argument("--cocycle", type=str, required=True,
                         help="carry | coboundary | file:<path>")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_int_option, default=0)
 
     e1 = ext_sub.add_parser("build", help="build and certify the extension")
     _cocycle_args(e1)
@@ -445,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e3 = ext_sub.add_parser("bound", help="sumset bound on section powers")
     _cocycle_args(e3)
-    e3.add_argument("--n-max", type=int, default=4)
+    e3.add_argument("--n-max", type=_int_option, default=4)
     e3.set_defaults(handler=_run_ext_bound, task="ext.bound")
 
     e4 = ext_sub.add_parser("iwasawa", help="covering certificate A^k = G")

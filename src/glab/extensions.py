@@ -21,6 +21,7 @@ from .groupcore import (
     FiniteGroup,
     GroupSpec,
     build_group,
+    check_order,
     inverse_mask,
     is_normal_mask,
     is_subgroup_mask,
@@ -66,10 +67,7 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
 def check_extension_order(base: FiniteGroup, p: int,
                           cap: int = DEFAULT_ORDER_CAP) -> None:
     """Refuse an extension Z/p x_h H whose order p·|H| exceeds ``cap``."""
-    if p * base.order > cap:
-        raise CapExceeded("order_cap_exceeded",
-                          f"group order {p * base.order} exceeds cap {cap}",
-                          cap=cap, order=p * base.order)
+    check_order((p, base.order), cap)
 
 
 def build_extension(base_spec: GroupSpec, p: int, table,

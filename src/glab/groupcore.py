@@ -27,7 +27,10 @@ Subsets of a group are plain ``numpy`` boolean arrays over element indices.
 Their algebra (:func:`inverse_mask`, :func:`product_mask`, subgroup and
 normal closures through one closure loop, :func:`is_subgroup_mask`,
 :func:`is_normal_mask`, commutators, quotient cosets as orbits) uses only
-rows, the inverse array and class ids.
+rows, the inverse array and class ids.  A product of two unions of
+conjugacy classes is one too, and :func:`product_mask` forms it from one
+row per class of the left factor, so the walks of class balls, class
+powers and covering numbers build a few dozen rows, not one per element.
 
 Group specs, element texts and the CLI's subset expressions share three
 readers: a bracket splitter (at most ``MAX_NESTING`` deep, so no input
@@ -196,24 +199,44 @@ class _Model:
     generator_forms: list
     mul: Callable
     inv: Callable
-    order_hint: int | None = None
     # quotient models carry their parent group for projection bookkeeping
     parent: "FiniteGroup | None" = None
     parent_projection: "np.ndarray | None" = None
 
 
-def _cyc_model(spec: CycSpec) -> _Model:
+def check_order(factors, cap: int) -> None:
+    """Refuse a group family whose order, the product of ``factors`` (each
+    >= 1), exceeds ``cap``, with order_cap_exceeded.
+
+    The running product stops once it passes both the cap and 10^100, so
+    an order far above the cap is never multiplied out, and a refusal
+    names the order only below that bound.
+    """
+    order, stop = 1, max(cap, 10 ** 100)
+    for f in factors:
+        order *= f
+        if order > stop:
+            raise CapExceeded("order_cap_exceeded",
+                              f"group order exceeds cap {cap}", cap=cap)
+    if order > cap:
+        raise CapExceeded("order_cap_exceeded",
+                          f"group order {order} exceeds cap {cap}",
+                          cap=cap, order=order)
+
+
+def _cyc_model(spec: CycSpec, cap: int) -> _Model:
     _require(spec.modulus >= 1, "Cyc modulus must be >= 1", modulus=spec.modulus)
     k = spec.modulus
+    check_order((k,), cap)
     gens = [1 % k] if k > 1 else []
-    return _Model(0, gens, lambda a, b: (a + b) % k, lambda a: (-a) % k,
-                  order_hint=k)
+    return _Model(0, gens, lambda a, b: (a + b) % k, lambda a: (-a) % k)
 
 
-def _ab_model(spec: AbSpec) -> _Model:
+def _ab_model(spec: AbSpec, cap: int) -> _Model:
     _require(len(spec.moduli) >= 1 and all(m >= 1 for m in spec.moduli),
              "Ab moduli must all be >= 1", moduli=spec.moduli)
     mods = spec.moduli
+    check_order(mods, cap)
     ident = tuple(0 for _ in mods)
     gens = []
     for i, m in enumerate(mods):
@@ -221,25 +244,26 @@ def _ab_model(spec: AbSpec) -> _Model:
             gens.append(tuple(1 if j == i else 0 for j in range(len(mods))))
     mul = lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, mods))
     inv = lambda a: tuple((-x) % m for x, m in zip(a, mods))
-    return _Model(ident, gens, mul, inv, order_hint=math.prod(mods))
+    return _Model(ident, gens, mul, inv)
 
 
-def _sym_model(spec: SymSpec) -> _Model:
+def _sym_model(spec: SymSpec, cap: int) -> _Model:
     n = spec.degree
     _require(n >= 1, "Sym degree must be >= 1", degree=n)
+    check_order(range(2, n + 1), cap)
     ident = tuple(range(n))
     gens = []
     if n >= 2:
         gens.append((1, 0) + tuple(range(2, n)))
     if n >= 3:
         gens.append(tuple(range(1, n)) + (0,))
-    return _Model(ident, gens, perm_compose, perm_inverse,
-                  order_hint=math.factorial(n))
+    return _Model(ident, gens, perm_compose, perm_inverse)
 
 
-def _alt_model(spec: AltSpec) -> _Model:
+def _alt_model(spec: AltSpec, cap: int) -> _Model:
     n = spec.degree
     _require(n >= 1, "Alt degree must be >= 1", degree=n)
+    check_order(range(3, n + 1), cap)  # n!/2, and 1 for n <= 2
     ident = tuple(range(n))
     gens = []
     if n >= 3:
@@ -249,19 +273,17 @@ def _alt_model(spec: AltSpec) -> _Model:
             gens.append(tuple(range(1, n)) + (0,))
         else:  # (2,3,...,n): odd-length cycle, even permutation
             gens.append((0,) + tuple(range(2, n)) + (1,))
-    return _Model(ident, gens, perm_compose, perm_inverse,
-                  order_hint=max(1, math.factorial(n) // 2))
+    return _Model(ident, gens, perm_compose, perm_inverse)
 
 
-def _sl_order(n: int, p: int) -> int:
-    q = p**n
-    gl = math.prod(q - p**i for i in range(n))
-    return gl // (p - 1)
-
-
-def _sl_model(spec: SLSpec) -> _Model:
+def _sl_model(spec: SLSpec, cap: int) -> _Model:
     n, p = spec.n, spec.p
     _require(n >= 2, "SL needs n >= 2", n=n)
+    _require(p >= 2, "SL needs a prime modulus", p=p)  # so the order grows
+    # |SL(n,p)| = prod over i = 2..n of p^(i-1)·(p^i - 1), checked against
+    # the cap before the primality test, which is slow for a large p
+    check_order((f for i in range(2, n + 1)
+                  for f in (p ** (i - 1), p ** i - 1)), cap)
     require_prime(p, "SL")
     ident = mat_identity(n)
     gens = []
@@ -273,8 +295,7 @@ def _sl_model(spec: SLSpec) -> _Model:
                 gens.append(tuple(g))
     return _Model(ident, gens,
                   lambda a, b: mat_mul(a, b, n, p),
-                  lambda a: mat_inverse(a, n, p),
-                  order_hint=_sl_order(n, p))
+                  lambda a: mat_inverse(a, n, p))
 
 
 def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
@@ -282,6 +303,7 @@ def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
     _require(p >= 2, "extension modulus must be >= 2", p=p)
     base = build_group(spec.base, cap=cap)
     m = base.order
+    check_order((p, m), cap)
     _require(len(spec.values) == m * m,
              "cocycle table must have |H|^2 entries",
              expected=m * m, got=len(spec.values))
@@ -302,7 +324,7 @@ def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
     ident = ((-h11) % p, base.elements[0])
     gens = [((1 - h11) % p, base.elements[0])]
     gens += [(0, base.elements[g]) for g in base.generators]
-    return _Model(ident, gens, mul, inv, order_hint=p * m)
+    return _Model(ident, gens, mul, inv)
 
 
 def _quotient_model(spec: QuotientSpec, cap: int) -> _Model:
@@ -333,34 +355,34 @@ def _quotient_model(spec: QuotientSpec, cap: int) -> _Model:
             gens.append(f)
     projection = rep_of  # parent index -> parent index of coset rep
     return _Model(parent.elements[rep_of[0]], gens, mul, inv,
-                  order_hint=parent.order // int(nmask.sum()),
                   parent=parent, parent_projection=projection)
 
 
 def _product_model(spec: ProductSpec, cap: int) -> _Model:
     left = build_group(spec.left, cap=cap)
     right = build_group(spec.right, cap=cap)
+    check_order((left.order, right.order), cap)
     lm, rm = left._model, right._model
     ident = (lm.identity, rm.identity)
     gens = [(g, rm.identity) for g in (left.elements[i] for i in left.generators)]
     gens += [(lm.identity, g) for g in (right.elements[i] for i in right.generators)]
     mul = lambda a, b: (lm.mul(a[0], b[0]), rm.mul(a[1], b[1]))
     inv = lambda a: (lm.inv(a[0]), rm.inv(a[1]))
-    return _Model(ident, gens, mul, inv, order_hint=left.order * right.order)
+    return _Model(ident, gens, mul, inv)
 
 
 def _model_for(spec: GroupSpec, cap: int) -> _Model:
     match spec:
         case CycSpec():
-            return _cyc_model(spec)
+            return _cyc_model(spec, cap)
         case AbSpec():
-            return _ab_model(spec)
+            return _ab_model(spec, cap)
         case SymSpec():
-            return _sym_model(spec)
+            return _sym_model(spec, cap)
         case AltSpec():
-            return _alt_model(spec)
+            return _alt_model(spec, cap)
         case SLSpec():
-            return _sl_model(spec)
+            return _sl_model(spec, cap)
         case CocycleExtSpec():
             return _cocycle_model(spec, cap)
         case QuotientSpec():
@@ -592,14 +614,11 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
     Layered BFS over right multiplication by the canonical generators; each
     layer is sorted by canonical form before being assigned indices, which
-    pins the numbering.  Raises ``order_cap_exceeded`` once more than
-    ``cap`` elements have been discovered.
+    pins the numbering.  Raises ``order_cap_exceeded`` when the family's
+    order exceeds ``cap``, before any element is enumerated, and once more
+    than ``cap`` elements have been discovered.
     """
     model = _model_for(spec, cap)
-    if model.order_hint is not None and model.order_hint > cap:
-        raise CapExceeded("order_cap_exceeded",
-                          f"group order {model.order_hint} exceeds cap {cap}",
-                          cap=cap, order=model.order_hint)
     elements = [model.identity]
     index = {model.identity: 0}
     # right[x * len(gens) + k] = index of x·g_k, in scan order; a product
@@ -676,13 +695,26 @@ def inverse_mask(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
 
 
 def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
-    """{a*b : a in A, b in B} as a mask; uses cached Cayley rows."""
-    out = np.zeros(G.order, dtype=bool)
-    b_idx = np.nonzero(b_mask)[0]
+    """{a*b : a in A, b in B} as a mask, from cached Cayley rows.
+
+    When A and B are unions of classes, so is A·B: for a = g·r·g^-1 the
+    set a·B = g·(r·B)·g^-1, so A·B is the union of the classes that meet
+    r·B, one row per class representative r in A.  Other sets take one
+    row per element of A.
+    """
+    b_idx = np.flatnonzero(b_mask)
     if len(b_idx) == 0:
-        return out
-    for a in np.nonzero(a_mask)[0]:
-        out[G.row(int(a))[b_idx]] = True
+        return np.zeros(G.order, dtype=bool)
+    if is_normal_mask(G, a_mask) and is_normal_mask(G, b_mask):
+        cid, reps = G.conjugacy_classes()
+        hit = np.zeros(len(reps), dtype=bool)
+        for r in reps:
+            if a_mask[r]:
+                hit[cid[G.row(r)[b_idx]]] = True
+        return hit[cid]
+    out = np.zeros(G.order, dtype=bool)
+    for a in np.flatnonzero(a_mask).tolist():
+        out[G.row(a)[b_idx]] = True
     return out
 
 

@@ -116,6 +116,17 @@ def test_verify_relations_rank1(capsys):
         "weyl_torus_action": {"checked": 80, "failures": 0}}
 
 
+def test_class_cube_sl2_31_cold(capsys, hang_guard):
+    """SL(2,31) has 29,760 elements; its class powers run one row per
+    class, and every regular class already covers the group in 3 steps."""
+    code, rep = run_cli(capsys, "chevalley", "class-cube",
+                        "--rank", "1", "--p", "31")
+    assert code == 0
+    instances = rep["results"]["instances"]
+    assert len(instances) == 28
+    assert {i["min_power"] for i in instances} == {3}
+
+
 def test_class_cube_rank1(capsys):
     code, rep = run_cli(capsys, "chevalley", "class-cube",
                         "--rank", "1", "--p", "5")
@@ -203,6 +214,15 @@ def test_perm_distance(capsys):
                         "--sigma", "(1,2)", "--tau", "(1,2,3)")
     assert code == 0
     assert rep["results"] == {"k": 2}
+
+
+def test_perm_distance_across_parity_in_sym8(capsys, hang_guard):
+    """An odd tau is never a product of 3-cycles; the class walk of the
+    3-cycles stops inside Alt(8) without a row per element of Sym(8)."""
+    code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(8)",
+                        "--sigma", "(1,2,3)", "--tau", "(1,2)(3,4,5)(6,7,8)")
+    assert code == 0
+    assert rep["results"] == {"k": None}
 
 
 # -- ext subcommands
@@ -459,6 +479,36 @@ def test_exit_3_order_cap(capsys):
     assert code == 3
     assert rep["error"]["code"] == "order_cap_exceeded"
     assert rep["error"]["details"] == {"cap": 100000, "order": 362880}
+
+
+@pytest.mark.parametrize("group", ["Sym(1600)", "Alt(1700)", "Sym(300000)",
+                                   "SL(120,2)", "SL(2,1000000000000000003)"])
+def test_exit_3_order_cap_far_above_the_cap(capsys, hang_guard, group):
+    """An order with thousands of digits is neither multiplied out nor
+    printed, and a huge modulus is refused before its primality test."""
+    code, rep = run_cli(capsys, "thick", "analyze",
+                        "--group", group, "--set", "class(e)")
+    assert code == 3
+    assert rep["error"]["code"] == "order_cap_exceeded"
+    assert rep["error"]["details"]["cap"] == 100000
+    assert rep["error"]["details"].get("order", 0) < 10 ** 100
+
+
+def test_ext_order_with_thousands_of_digits(capsys):
+    code, rep = run_cli(capsys, "ext", "build", "--base", "Cyc(2)",
+                        "--p", "9" * 4300, "--cocycle", "coboundary")
+    assert code == 3
+    assert rep["error"]["details"] == {"cap": 100000}
+
+
+@pytest.mark.parametrize("value", ["\u0661\u0662", "1_0", "+5", "5x", ""])
+def test_integer_options_are_ascii_digits(capsys, value):
+    """Integer options are read like the integers inside spec text."""
+    with pytest.raises(SystemExit) as e:
+        main(["perm", "distance", "--group", "Sym(4)", "--sigma", "(1,2)",
+              "--tau", "(1,2,3)", "--cap", value])
+    assert e.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
 
 
 def test_exit_4_internal_error(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Group engine: enumeration order, arithmetic, structure, text forms."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,7 @@ from glab.groupcore import (
     structure_report,
     surject_onto_prime_cyclic,
 )
+from glab.thickset import bounded_simplicity_degree
 
 
 # -- enumeration is canonical: these orderings are load-bearing for witnesses
@@ -173,6 +177,62 @@ def test_product_mask_brute_force(sym3):
     assert set(np.nonzero(prod)[0].tolist()) == expect
 
 
+@functools.cache
+def _class_product_group(spec):
+    return build_group(parse_group_spec(spec))
+
+
+def _product_oracle(G, a_mask, b_mask):
+    """The union of the rows of every a in A at B; the rows are walked
+    afresh from the enumeration tree, outside the group's row cache."""
+    out = np.zeros(G.order, dtype=bool)
+    for a in np.flatnonzero(a_mask).tolist():
+        out[G._tree.row(a)[b_mask]] = True
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Alt(5)", "Sym(5)", "SL(2,7)", "Sym(6)",
+                                  "SL(3,3)"])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=8, deadline=None)
+def test_product_of_class_unions_matches_every_row(spec, data):
+    """Unions of classes take one row per class of A; the product must be
+    the union over every element of A."""
+    G = _class_product_group(spec)
+    cid, reps = G.conjugacy_classes()
+    classes = st.sets(st.integers(0, len(reps) - 1), max_size=4)
+    A = np.isin(cid, sorted(data.draw(classes)))
+    B = np.isin(cid, sorted(data.draw(classes)))
+    assert (product_mask(G, A, B) == _product_oracle(G, A, B)).all()
+
+
+def test_product_of_a_non_normal_set_takes_every_row(sym4, monkeypatch):
+    rows = []
+    row = sym4.row
+    monkeypatch.setattr(sym4, "row", lambda a: rows.append(a) or row(a))
+    T = sym4.class_mask(1)  # the transpositions, a class
+    for A, B in [(mask_from_indices(sym4, [0, 1]), T),
+                 (T, mask_from_indices(sym4, [0, 1]))]:
+        rows.clear()
+        assert (product_mask(sym4, A, B) == _product_oracle(sym4, A, B)).all()
+        assert rows == np.flatnonzero(A).tolist()
+    rows.clear()
+    product_mask(sym4, T, T)
+    assert len(rows) == 1  # one class, one representative
+
+
+def test_bounded_simplicity_degree_builds_one_row_per_class(monkeypatch):
+    """SL(3,3) built all of its 5616 rows with one row per element of A."""
+    G = build_group(parse_group_spec("SL(3,3)"))
+    _, reps = G.conjugacy_classes()  # walks the inverse rows first
+    G.center_mask()
+    built = []
+    row = G._tree.row
+    monkeypatch.setattr(G._tree, "row", lambda a: built.append(a) or row(a))
+    assert bounded_simplicity_degree(G)["value"] == 3
+    assert len(built) <= len(reps) == 12
+
+
 def test_ball_mask_levels(cyc6):
     step = mask_from_indices(cyc6, [1])
     balls = [ball_mask(cyc6, step, n) for n in range(4)]
@@ -292,6 +352,24 @@ def test_order_cap():
         build_group(parse_group_spec("Sym(9)"))
     assert e.value.code == "order_cap_exceeded"
     assert e.value.details["order"] == 362880
+
+
+@pytest.mark.parametrize("spec, details", [
+    ("Alt(10)", {"cap": 100000, "order": 1814400}),
+    ("Prod(Sym(7),Sym(7))", {"cap": 100000, "order": 5040 ** 2}),
+    ("Sym(69)", {"cap": 100000, "order": math.factorial(69)}),
+    ("Sym(70)", {"cap": 100000}),  # 70! > 10^100: not multiplied out
+    ("Cyc(" + "9" * 4000 + ")", {"cap": 100000}),
+    ("Ab(1000000,1000000)", {"cap": 100000, "order": 10 ** 12}),
+    ("SL(2,1000000000000000003)",
+     {"cap": 100000, "order": (10 ** 18 + 3) ** 3 - (10 ** 18 + 3)}),
+    ("SL(3,1000000000000000003)", {"cap": 100000}),
+])
+def test_order_cap_names_only_small_orders(spec, details):
+    with pytest.raises(CapExceeded) as e:
+        build_group(parse_group_spec(spec))
+    assert e.value.code == "order_cap_exceeded"
+    assert e.value.details == details
 
 
 def test_parsing_builds_no_group(monkeypatch):

@@ -590,6 +590,17 @@ def test_bounded_simplicity_alt5(alt5):
                       {"rep": 4, "radius": 3}, {"rep": 9, "radius": 2}]}
 
 
+@pytest.mark.parametrize("spec, value", [
+    ("Alt(8)", 4), ("SL(2,23)", 3), ("SL(2,31)", 3),
+    ("Sym(8)", None),  # the balls of the even classes stay in Alt(8)
+])
+def test_bounded_simplicity_at_scale(hang_guard, spec, value):
+    """Groups of 12,144 to 40,320 elements: the class walks need one row
+    per class, where one row per element of Sym(8) would take 13 GB."""
+    G = build_group(parse_group_spec(spec))
+    assert bounded_simplicity_degree(G)["value"] == value
+
+
 def test_bounded_simplicity_cap(alt5):
     with pytest.raises(CapExceeded) as e:  # every class needs radius >= 2
         bounded_simplicity_degree(alt5, cap=1)
