@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -50,15 +51,18 @@ from .errors import (
     ToolkitError,
 )
 from .groupcore import (
+    DEFAULT_ORDER_CAP,
     CycSpec,
     FiniteGroup,
     SLSpec,
     _call,
     _integer,
     _integers,
+    _require,
     _split_top_level,
     ball_mask,
     build_group,
+    check_order,
     element_text,
     inverse_mask,
     mask_from_indices,
@@ -182,6 +186,13 @@ def _mat_text(n: int, mat: tuple) -> str:
 
 def _run_chev_relations(a) -> dict:
     n, p = a.rank + 1, a.p
+    # the relation loops check at most r·r·p·p commutators and Weyl
+    # conjugates and r·p·(p-1)^(n-1) torus conjugates, for r roots; bound
+    # them before the primality test, which is slow for a large p
+    _require(p >= 2, "verify-relations needs a prime modulus", p=p)
+    r = n * (n - 1)
+    for factors in ((r, r, p, p), chain((r, p), repeat(p - 1, n - 1))):
+        check_order(factors, DEFAULT_ORDER_CAP, "relation instances")
     require_prime(p, "verify-relations")
     results = {
         "structure_constants": commutator_structure_constants(n, p),

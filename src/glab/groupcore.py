@@ -204,9 +204,10 @@ class _Model:
     parent_projection: "np.ndarray | None" = None
 
 
-def check_order(factors, cap: int) -> None:
+def check_order(factors, cap: int, what: str = "group order") -> None:
     """Refuse a group family whose order, the product of ``factors`` (each
-    >= 1), exceeds ``cap``, with order_cap_exceeded.
+    >= 1), exceeds ``cap``, with order_cap_exceeded; ``what`` names that
+    product in the message.
 
     The running product stops once it passes both the cap and 10^100, so
     an order far above the cap is never multiplied out, and a refusal
@@ -217,10 +218,10 @@ def check_order(factors, cap: int) -> None:
         order *= f
         if order > stop:
             raise CapExceeded("order_cap_exceeded",
-                              f"group order exceeds cap {cap}", cap=cap)
+                              f"{what} exceeds cap {cap}", cap=cap)
     if order > cap:
         raise CapExceeded("order_cap_exceeded",
-                          f"group order {order} exceeds cap {cap}",
+                          f"{what} {order} exceeds cap {cap}",
                           cap=cap, order=order)
 
 

@@ -12,7 +12,7 @@ The two surgery identities:
                                   =  (x,a_1..a_{2p+1}) ∘ (y,b_1..b_{2q+1})
 
 Both are verified instance-by-instance; the scan_* harnesses drive the
-large exhaustive sweeps with numpy.
+large exhaustive sweeps with numpy, on the images of the instances' points.
 """
 
 from __future__ import annotations
@@ -80,6 +80,14 @@ def cycle_quotient(n: int, x: int, a: tuple[int, ...], b: tuple[int, ...]) -> di
 def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
                 b: tuple[int, ...]) -> dict:
     """(x,y,a) ∘ (x,y,b) = (x,a) ∘ (y,b) for odd-length lists a and b."""
+    lhs = _checked_merge(n, x, y, a, b)
+    return {"result": lhs, "text": perm_to_text(lhs)}
+
+
+def _checked_merge(n: int, x: int, y: int, a: tuple[int, ...],
+                   b: tuple[int, ...]) -> tuple[int, ...]:
+    """Both sides of the merge identity, form-level and checked equal; the
+    image tuple of the product."""
     if len(a) % 2 == 0 or len(b) % 2 == 0:
         raise InputError("even_length", "the merge identity needs odd lists",
                          len_a=len(a), len_b=len(b))
@@ -91,7 +99,7 @@ def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
     if lhs != rhs:
         raise PropertyFailure("search_exhausted", "merge identity violated",
                               x=x, y=y, a=a, b=b)
-    return {"result": lhs, "text": perm_to_text(lhs)}
+    return lhs
 
 
 # --------------------------------------------------------------------------
@@ -105,12 +113,12 @@ def _instance_chunks(n: int, fixed: tuple[int, ...], length: int):
     """Yield the tuples fixed + t, t injective over the other points of
     range(n), in lexicographic order of t and in chunks of at most CHUNK.
 
-    A chunk holds one tuple per column.  A tuple is a head (its first
-    points) and a tail; the head is the shortest for which the tails of
-    one head fit in a chunk.  Heads stream from itertools, the sorted pool
-    of points free of each head comes from one boolean mask per chunk,
-    and the tails are that pool gathered at the injective tuples over its
-    positions, listed once.
+    A chunk holds one tuple per column, in the least unsigned type that
+    holds n.  A tuple is a head (its first points) and a tail; the head is
+    the shortest for which the tails of one head fit in a chunk.  Heads
+    stream from itertools, the sorted pool of points free of each head
+    comes from one boolean mask per chunk, and the tails are that pool
+    gathered at the injective tuples over its positions, listed once.
     """
     free = n - len(fixed)
     head = 0
@@ -122,31 +130,29 @@ def _instance_chunks(n: int, fixed: tuple[int, ...], length: int):
         [p for p in range(n) if p not in fixed], head))
     width = len(fixed) + head
     while block := list(islice(heads, CHUNK // idx.shape[1])):
-        H = np.array(block, dtype=np.intp).reshape(len(block), width)
+        H = np.array(block, np.min_scalar_type(n)).reshape(len(block), width)
         k = np.arange(len(H))
         unused = np.ones((len(H), n), dtype=bool)
         unused[k[:, None], H] = False
-        pool = np.nonzero(unused)[1].reshape(len(H), n - width)
+        pool = np.nonzero(unused)[1].astype(H.dtype).reshape(len(H), n - width)
         yield np.concatenate(
             (np.broadcast_to(H.T[:, :, None], (width, len(H), idx.shape[1])),
-             pool[k[None, :, None], idx[:, None, :]])
+             pool.take(idx, axis=1).swapaxes(0, 1))
         ).reshape(width + len(idx), -1)
 
 
-def _product_rows(identity: np.ndarray, at: np.ndarray, moves) -> np.ndarray:
-    """Image rows of a product of cycles, one row per instance of a chunk.
+def _images(points: np.ndarray, moves) -> np.ndarray:
+    """Images of the instances' own points under a product of cycles.
 
-    ``at[j, k]`` is the flat position of point j of instance k in the
-    chunk's rows, which start as copies of the ``identity`` rows.  A move
-    (src, dst) is the cycle taking point src[i] to point dst[i]; the moves
-    compose left to right on the right of rows R, (R ∘ c)(p) = R(c(p)),
-    by one flat gather and one flat scatter each.
+    ``points[j, k]`` is point j of instance k.  A move (src, dst) is the
+    cycle taking point src[i] to point dst[i]; the moves compose left to
+    right on the right of the images R, (R ∘ c)(p) = R(c(p)), by one row
+    copy each.
     """
-    rows = identity[:at.shape[1]].copy()
-    flat = rows.reshape(-1)
+    images = points.copy()
     for src, dst in moves:
-        flat[at[src]] = flat[at[dst]]
-    return rows
+        images[src] = images[dst]
+    return images
 
 
 def _sweep(n: int, fixed: tuple[int, ...], length: int, lhs, rhs,
@@ -154,27 +160,26 @@ def _sweep(n: int, fixed: tuple[int, ...], length: int, lhs, rhs,
     """Check lhs = rhs, two products of cycles, on every instance tuple.
 
     Instances come from _instance_chunks, and a cycle is a list of tuple
-    positions.  Returns the number of instances.  The first instance in
-    that order whose full image rows differ raises PropertyFailure, with
-    its points (1-based) named by ``fields``: name -> tuple positions, or
-    one position.
+    positions, so both sides fix every point off the tuple: they are equal
+    as permutations of range(n) iff the images of the tuple's own points
+    are, a byte each for n < 256.  Returns the number of instances.  The
+    first instance in that order whose images differ raises PropertyFailure,
+    with its points (1-based) named by ``fields``: name -> tuple positions,
+    or one position.
     """
     lhs, rhs = ([(np.array(c), np.roll(c, -1)) for c in side]
                 for side in (lhs, rhs))
-    identity = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (CHUNK, 1))
     total = 0
-    for at in _instance_chunks(n, fixed, length):
-        at += n * np.arange(at.shape[1])
-        left = _product_rows(identity, at, lhs)
-        right = _product_rows(identity, at, rhs)
+    for points in _instance_chunks(n, fixed, length):
+        left, right = _images(points, lhs), _images(points, rhs)
         if not np.array_equal(left, right):
-            bad = at[:, (left != right).any(axis=1).argmax()] % n + 1
+            bad = points[:, (left != right).any(axis=0).argmax()] + 1
             raise PropertyFailure(
                 "search_exhausted", f"{name} identity violated",
                 **{k: int(bad[c]) if isinstance(c, int)
                    else tuple(int(q) for q in bad[c])
                    for k, c in fields.items()})
-        total += at.shape[1]
+        total += points.shape[1]
     return total
 
 
@@ -183,9 +188,10 @@ def scan_cycle_quotient(n: int = 12, m_max: int = 3) -> dict:
 
     For each list length m <= m_max, the instances are the injective
     tuples (x, a, b) of 2m + 1 points in lexicographic order.  Chunks of
-    them are checked at once on the full image rows of (x,a)^-1 ∘ (x,b)
-    (the inverse being the cycle run backwards) and (x, b, reversed a);
-    a violation reports the first bad instance in that order.  Returns
+    them are checked at once on the images of their own points under
+    (x,a)^-1 ∘ (x,b) (the inverse being the cycle run backwards) and
+    (x, b, reversed a); a violation reports the first bad instance in that
+    order.  Returns
     per-length instance counts.
     """
     if not 0 <= 2 * m_max + 1 <= n:
@@ -213,9 +219,9 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     here on seeded random placements and relabelings — plus seeded random
     general placements as an independent spot check.  The instances of a
     shape are the injective tuples (x, y, shorter list, longer list) in
-    lexicographic order.  Chunks of them are checked at once on the full
-    image rows of (x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b); a violation reports
-    the first bad instance in that order.
+    lexicographic order.  Chunks of them are checked at once on the images
+    of their own points under (x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b); a
+    violation reports the first bad instance in that order.
     """
     rng = np.random.default_rng(seed)
     if shapes is None:
@@ -258,9 +264,9 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     for _ in range(random_samples):
         la, lb = shapes[rng.integers(len(shapes))]
         pts = [int(v) for v in rng.permutation(n)[:2 + la + lb]]
-        merge_split(n, pts[0] + 1, pts[1] + 1,
-                    tuple(q + 1 for q in pts[2:2 + la]),
-                    tuple(q + 1 for q in pts[2 + la:]))
+        _checked_merge(n, pts[0] + 1, pts[1] + 1,
+                       tuple(q + 1 for q in pts[2:2 + la]),
+                       tuple(q + 1 for q in pts[2 + la:]))
         report["random_checks"] += 1
     return report
 
@@ -358,8 +364,12 @@ def class_word_distance(G: FiniteGroup, sigma: int, tau: int,
     """Least k with tau a product of k conjugates of sigma (k = 0 for e).
 
     Walks the class powers C, C^2, ...; None when tau is unreachable
-    (e.g. across a parity obstruction) or not reached within ``cap``.
+    (e.g. across a parity obstruction) or not reached within ``cap`` >= 1
+    steps.
     """
+    if cap is not None and cap < 1:
+        raise InputError("invalid_parameters", "the cap must be at least 1",
+                         cap=cap)
     if sigma == 0:
         raise InputError("identity_sigma",
                          "the class of the identity reaches nothing")

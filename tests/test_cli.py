@@ -1,6 +1,7 @@
 """Command-line reports: shape, determinism, witness replay, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -214,6 +215,24 @@ def test_perm_distance(capsys):
                         "--sigma", "(1,2)", "--tau", "(1,2,3)")
     assert code == 0
     assert rep["results"] == {"k": 2}
+
+
+@pytest.mark.parametrize("cap, k", [("1", None), ("2", 2)])
+def test_perm_distance_cap(capsys, cap, k):
+    code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(4)",
+                        "--sigma", "(1,2)", "--tau", "(1,2,3)", "--cap", cap)
+    assert code == 0
+    assert rep["results"] == {"k": k}
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_perm_distance_refuses_a_cap_below_1(capsys, cap):
+    """A cap below 1 was read as "tau is unreachable"."""
+    code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(4)",
+                        "--sigma", "(1,2)", "--tau", "(1,2,3)", "--cap", cap)
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"] == {"cap": int(cap)}
 
 
 def test_perm_distance_across_parity_in_sym8(capsys, hang_guard):
@@ -492,6 +511,31 @@ def test_exit_3_order_cap_far_above_the_cap(capsys, hang_guard, group):
     assert rep["error"]["code"] == "order_cap_exceeded"
     assert rep["error"]["details"]["cap"] == 100000
     assert rep["error"]["details"].get("order", 0) < 10 ** 100
+
+
+@pytest.mark.parametrize("rank, p", [("1", "1000000000000000003"),
+                                     ("1000000000", "2"), ("2", "29")])
+def test_verify_relations_refuses_too_many_instances(capsys, hang_guard,
+                                                     rank, p):
+    """The relation loops are bounded before the primality test of p,
+    which ran for more than 10 s on the 19-digit prime."""
+    t0 = time.monotonic()
+    code, rep = run_cli(capsys, "chevalley", "verify-relations",
+                        "--rank", rank, "--p", p)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3
+    assert rep["error"]["code"] == "order_cap_exceeded"
+    assert rep["error"]["details"]["cap"] == 100000
+
+
+@pytest.mark.parametrize("rank, p", [("2", "7"), ("2", "11")])
+def test_verify_relations_under_the_cap(capsys, rank, p):
+    code, rep = run_cli(capsys, "chevalley", "verify-relations",
+                        "--rank", rank, "--p", p)
+    assert code == 0
+    assert all(rep["results"][k]["failures"] == 0
+               for k in ("structure_constants", "torus_conjugation",
+                         "weyl_torus_action"))
 
 
 def test_ext_order_with_thousands_of_digits(capsys):

@@ -168,28 +168,37 @@ def _one_based(points):
     return tuple(q + 1 for q in points)
 
 
-def _record_kernel(monkeypatch):
-    """Log (instance tuples, image rows) of every side the kernel builds,
-    in chunks of 64 instances so that small sweeps stream many heads."""
-    monkeypatch.setattr(permfact, "CHUNK", 64)
+def _record_kernel(monkeypatch, chunk=64):
+    """Log (instance tuples, images) of every side the kernel builds, in
+    chunks of ``chunk`` instances: 64 by default, so that small sweeps
+    stream many heads."""
+    monkeypatch.setattr(permfact, "CHUNK", chunk)
     log = []
-    build = permfact._product_rows
+    build = permfact._images
 
-    def recording(identity, at, moves):
-        rows = build(identity, at, moves)
-        log.append(((at % identity.shape[1]).T.tolist(), rows))
-        return rows
+    def recording(points, moves):
+        images = build(points, moves)
+        log.append((points.T.tolist(), images))
+        return images
 
-    monkeypatch.setattr(permfact, "_product_rows", recording)
+    monkeypatch.setattr(permfact, "_images", recording)
     return log
 
 
-def _checked(log):
+def _full_rows(n, tuples, images):
+    """The n-wide image rows that the images of the tuples' own points
+    stand for: the identity off each tuple."""
+    rows = np.tile(np.arange(n), (len(tuples), 1))
+    rows[np.arange(len(tuples))[:, None], tuples] = images.T
+    return rows
+
+
+def _checked(n, log):
     """Instances, left rows and right rows in the order they were checked
     (each chunk builds its left side first)."""
+    rows = [_full_rows(n, tuples, images) for tuples, images in log]
     return ([tuple(t) for tuples, _ in log[::2] for t in tuples],
-            np.concatenate([rows for _, rows in log[::2]]),
-            np.concatenate([rows for _, rows in log[1::2]]))
+            np.concatenate(rows[::2]), np.concatenate(rows[1::2]))
 
 
 @pytest.mark.parametrize("n, cap, shapes", [
@@ -202,7 +211,7 @@ def test_scan_merge_matches_a_form_level_loop(monkeypatch, n, cap, shapes):
         log.clear()
         rep = scan_merge(n, full_cap_points=cap, random_samples=0,
                          shapes=[(la, lb)])
-        tuples, left, right = _checked(log)
+        tuples, left, right = _checked(n, log)
         want, images = [], []
         for t, a, b in _merge_instances(n, la, lb, 2 + la + lb > cap):
             want.append(t)
@@ -217,7 +226,7 @@ def test_scan_merge_matches_a_form_level_loop(monkeypatch, n, cap, shapes):
 def test_scan_cycle_quotient_matches_a_form_level_loop(monkeypatch):
     log = _record_kernel(monkeypatch)
     rep = scan_cycle_quotient(7, 3)
-    tuples, left, right = _checked(log)
+    tuples, left, right = _checked(7, log)
     want, images, counts = [], [], {}
     for m in range(4):
         for t, a, b in _quotient_instances(7, m):
@@ -231,24 +240,78 @@ def test_scan_cycle_quotient_matches_a_form_level_loop(monkeypatch):
     assert (right == np.array(images)).all()
 
 
+def test_sweeps_past_255_points(monkeypatch):
+    """At n >= 256 a point no longer fits a byte: the tuples and images
+    are uint16, and every point up to n - 1 is swept."""
+    log = _record_kernel(monkeypatch, permfact.CHUNK)
+    assert scan_cycle_quotient(300, 0) == {"n": 300, "counts": {0: 300},
+                                           "total": 300}
+    tuples, left, right = _checked(300, log)
+    assert tuples == [(x,) for x in range(300)]
+    assert (left == np.arange(300)).all() and (right == left).all()
+
+    log.clear()
+    rep = scan_merge(300, shapes=[(1, 1)], full_cap_points=3,
+                     random_samples=0)
+    assert rep["shapes"] == {"1,1": {"mode": "slice", "instances": 298 * 297}}
+    assert {images.dtype for _, images in log} == {np.dtype(np.uint16)}
+    # 88,506 full rows of 300 points would take 200 MB: compare the images
+    tuples = [tuple(t) for ts, _ in log[::2] for t in ts]
+    assert tuples == [(0, 1) + t
+                      for t in itertools.permutations(range(2, 300), 2)]
+    left, right = (np.concatenate([images for _, images in log[i::2]], axis=1)
+                   for i in (0, 1))
+    assert (left == right).all()
+    for k in range(0, len(tuples), 997):
+        t = tuples[k]
+        want = merge_split(300, 1, 2, (t[2] + 1,), (t[3] + 1,))["result"]
+        assert (_full_rows(300, [t], left[:, k:k + 1]) == want).all()
+
+
+def test_sweep_compares_both_sides():
+    """(x,y,z) = (y,z,x) on all 60 triples of 5 points, but (x,y,z) is not
+    (x,z,y): the first triple is named, whichever side is which."""
+    assert permfact._sweep(5, (), 3, [[0, 1, 2]], [[1, 2, 0]], "rotation",
+                           {}) == 60
+    for lhs, rhs in [([[0, 1, 2]], [[0, 2, 1]]), ([[0, 2, 1]], [[0, 1, 2]]),
+                     ([[0, 1]], []), ([], [[1, 2]])]:
+        with pytest.raises(PropertyFailure) as e:
+            permfact._sweep(5, (), 3, lhs, rhs, "false", {"x": 0, "t": [1, 2]})
+        assert e.value.message == "false identity violated"
+        assert e.value.details == {"x": 1, "t": (2, 3)}
+
+
+def test_scan_merge_spot_checks_format_no_text(monkeypatch):
+    calls = []
+    check = permfact._checked_merge
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(permfact, "_checked_merge", counting)
+    monkeypatch.setattr(permfact, "perm_to_text", None)  # a call would fail
+    rep = scan_merge(8, shapes=[(1, 3)], random_samples=50)
+    assert rep["random_checks"] == len(calls) == 50
+
+
 def _break_kernel(monkeypatch, *instances):
-    """Make the kernel build a wrong left side (its image rows reversed)
-    for the given 0-based instance tuples, in chunks of 64 instances."""
+    """Make the kernel build a wrong left side (its images reversed) for
+    the given 0-based instance tuples, in chunks of 64 instances."""
     monkeypatch.setattr(permfact, "CHUNK", 64)
-    build = permfact._product_rows
+    build = permfact._images
     calls = itertools.count()
 
-    def broken(identity, at, moves):
-        rows = build(identity, at, moves)
+    def broken(points, moves):
+        images = build(points, moves)
         if next(calls) % 2 == 0:  # each chunk builds its left side first
-            tuples = (at % identity.shape[1]).T
             for t in instances:
-                if len(t) == tuples.shape[1]:
-                    hit = (tuples == t).all(axis=1)
-                    rows[hit] = rows[hit][:, ::-1]
-        return rows
+                if len(t) == len(points):
+                    hit = (points.T == t).all(axis=1)
+                    images[:, hit] = images[::-1, hit]
+        return images
 
-    monkeypatch.setattr(permfact, "_product_rows", broken)
+    monkeypatch.setattr(permfact, "_images", broken)
 
 
 @pytest.mark.parametrize("gap", [1, 1000])
@@ -256,6 +319,7 @@ def _break_kernel(monkeypatch, *instances):
     (7, 8, (1, 3), 700),   # la <= lb: the shorter list a comes first
     (7, 8, (3, 1), 1234),  # la > lb: the shorter list b comes first
     (8, 4, (3, 3), 300),   # slice x = 1, y = 2
+    (300, 3, (1, 1), 87000),  # uint16 points past 255
 ])
 def test_scan_merge_reports_the_first_violation(monkeypatch, gap, n, cap,
                                                 shape, first):
@@ -427,6 +491,13 @@ def test_class_word_distance(sym4):
                                cap=2) == {"k": None}
     assert class_word_distance(sym4, parse_element(sym4, "(1,2,3)"), t) == {"k": None}
     assert class_word_distance(sym4, t, 0) == {"k": 0}
+    tau = parse_element(sym4, "(1,2,3)")
+    assert class_word_distance(sym4, t, tau, cap=1) == {"k": None}
+    assert class_word_distance(sym4, t, tau, cap=2) == {"k": 2}
+    for cap in (0, -3):
+        with pytest.raises(InputError) as e:
+            class_word_distance(sym4, t, tau, cap=cap)
+        assert e.value.code == "invalid_parameters"
     with pytest.raises(InputError) as e:
         class_word_distance(sym4, 0, t)
     assert e.value.code == "identity_sigma"
