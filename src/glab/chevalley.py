@@ -29,8 +29,10 @@ import numpy as np
 
 from .errors import InputError, PropertyFailure
 from .groupcore import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     SLSpec,
+    check_order,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -428,22 +430,14 @@ def class_cube(G: FiniteGroup, t: int) -> dict:
     if not is_regular(G.elements[t], spec.n, spec.p):
         raise InputError("not_regular", "class_cube needs a regular element")
     C = G.class_mask(t)
-    Z = G.center_mask()
-    powers, min_power = [], None  # powers: C, C^2, C^3
-    for k, cur in enumerate(power_walk(G, C, C), start=1):
-        if k > G.order:
-            break
-        if k <= 3:
-            powers.append(cur)
-        if cur.all():
-            min_power = k
-            break
-    while len(powers) < 3:  # the walk stopped early, on G or on a repeat
-        powers.append(product_mask(G, powers[-1], C))
-    _, C2, C3 = powers
+    C2 = product_mask(G, C, C)
+    C3 = product_mask(G, C2, C)
+    # the walk stops before a repeat, so None means C^k never covers G
+    min_power = next((k for k, cur in enumerate(power_walk(G, C, C), start=1)
+                      if cur.all()), None)
     return {
         "class_size": int(C.sum()),
-        "square_covers_complement": bool((C2 | Z).all()),
+        "square_covers_complement": bool((C2 | G.center_mask()).all()),
         "cube_is_group": bool(C3.all()),
         "min_power": min_power,
     }
@@ -474,12 +468,15 @@ def regular_sequence(family: str, rank: int, p: int, m: int) -> dict:
     if family.upper() != "A":
         raise InputError("unsupported_family_rank",
                          "matrix realization only for type A", family=family)
+    if m < 1:
+        raise InputError("invalid_parameters", "need m >= 1", m=m)
+    # bound the scan over s < p and the m·m quotient checks before the
+    # primality test, which is slow for a large p
+    check_order((p - 1, m, m), DEFAULT_ORDER_CAP, "sequence checks")
     require_prime(p, "regular_sequence")
     R = rootsys.build_root_system(family, rank)
     lam = rootsys.lambda_weights(R)
     weights = [rootsys.root_weight(R, lam, b) for b in R.positive]
-    if m < 1:
-        raise InputError("invalid_parameters", "need m >= 1", m=m)
     n = rank + 1
     if m == 1:
         return {"s": 1, "order": 1, "lam": list(lam), "weights": weights,

@@ -186,6 +186,7 @@ def _mat_text(n: int, mat: tuple) -> str:
 
 def _run_chev_relations(a) -> dict:
     n, p = a.rank + 1, a.p
+    _require(n >= 2, "verify-relations needs rank >= 1", rank=a.rank)
     # the relation loops check at most r·r·p·p commutators and Weyl
     # conjugates and r·p·(p-1)^(n-1) torus conjugates, for r roots; bound
     # them before the primality test, which is slow for a large p

@@ -22,6 +22,7 @@ from .groupcore import (
     GroupSpec,
     build_group,
     check_order,
+    derived_subgroup,
     inverse_mask,
     is_normal_mask,
     is_subgroup_mask,
@@ -230,9 +231,7 @@ def derived_length_of_subgroup(G: FiniteGroup, B: np.ndarray,
     cur = B
     length = 0
     while int(cur.sum()) > 1:
-        members = [int(x) for x in np.nonzero(cur)[0]]
-        comms = {G.comm(a, b) for a in members for b in members}
-        nxt = G.subgroup_closure(sorted(comms))
+        nxt = derived_subgroup(G, cur)
         if (nxt == cur).all() or length >= cap:
             raise InputError("premise_violation",
                              "B is not solvable", derived_stabilized=True)

@@ -593,14 +593,9 @@ class FiniteGroup:
         return self.subgroup_closure(np.flatnonzero(closed))
 
     def derived_mask(self) -> np.ndarray:
-        """[G, G]: normal closure of commutators of generator pairs."""
+        """[G, G], from :func:`derived_subgroup`, cached."""
         if self._derived is None:
-            seeds = np.zeros(self.order, dtype=bool)
-            for a in self.generators:
-                for b in self.generators:
-                    seeds[self.comm(a, b)] = True
-            seeds[0] = True
-            self._derived = self.normal_closure_mask(seeds)
+            self._derived = derived_subgroup(self, np.ones(self.order, dtype=bool))
         return self._derived
 
     def is_abelian(self) -> bool:
@@ -751,6 +746,21 @@ def ball_mask(G: FiniteGroup, mask: np.ndarray, n: int) -> np.ndarray:
 def is_subgroup_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
     """e in S and S·S ⊆ S, which in a finite group makes S a subgroup."""
     return bool(mask[0] and (product_mask(G, mask, mask) <= mask).all())
+
+
+def derived_subgroup(G: FiniteGroup, H: np.ndarray) -> np.ndarray:
+    """[H, H] for a subgroup mask H: the normal closure in H of the
+    commutators of the generators s_k that ``G._generate`` keeps for H.
+
+    With maps[k] = x ↦ x·s_k, conjugation x ↦ s^-1·x·s = (x^-1·s)^-1·s and
+    [a, b] = (a^-1·b^-1·a)·b are gathers on those maps.
+    """
+    inv = G.inverses()
+    _, maps = G._generate(np.flatnonzero(H))
+    conj = np.take_along_axis(maps, inv[maps[:, inv]], axis=1)
+    seeds = np.zeros(G.order, dtype=bool)
+    seeds[maps[np.arange(len(maps)), conj[:, inv[maps[:, 0]]]]] = True
+    return G.subgroup_closure(np.flatnonzero(_close(seeds, conj)))
 
 
 def is_symmetric_mask(G: FiniteGroup, mask: np.ndarray) -> bool:

@@ -35,7 +35,7 @@ from .groupcore import (
     perm_to_text,
     power_walk,
 )
-from .thickset import EXACT_CLIQUE_CAP, _quotient_clique, thickness
+from .thickset import _quotient_clique
 
 
 def cycle_perm(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
@@ -288,9 +288,10 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     length L, plus two free points so classes do not split) is the
     sufficient condition under which membership is *guaranteed*, and is
     reported as a flag; the flag needs only an upper bound on the
-    thickness, so its clique search stops at that bound.  When the
-    constructive factors fall outside P, an exhaustive scan over q1 in P
-    finds a factorization or proves there is none.
+    thickness, so its clique search stops at that bound, at every group
+    order: a true flag is proved.  When the constructive factors fall
+    outside P, an exhaustive scan over q1 in P finds a factorization or
+    proves there is none.
     """
     if not isinstance(G.spec, (SymSpec, AltSpec)):
         raise InputError("group_mismatch",
@@ -316,15 +317,11 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
                                             for k in range(0, len(evens), 2))
     supp2 = sum(len(evens[k]) + 1 for k in range(1, len(evens), 2))
     supports_ok = supp1 + 2 <= n and supp2 + 2 <= n
-    # n >= thickness * (L - 1) + 1 for every L iff thickness <= T
+    # n >= thickness * (L - 1) + 1 for every L iff thickness <= T, that is
+    # iff no P-free clique has size T: the search stops at that size
     T = min(((n - 1) // (L - 1) for L in produced_lengths), default=None)
-    if not supports_ok or T is None:
-        budget_ok = supports_ok
-    elif G.order > EXACT_CLIQUE_CAP:
-        budget_ok = thickness(G, P)["value"] <= T
-    else:
-        # thickness <= T iff no P-free clique of size T: stop at that size
-        budget_ok = len(_quotient_clique(G, ~P, cap=T)) < T
+    budget_ok = supports_ok and (
+        T is None or len(_quotient_clique(G, ~P, cap=T)) < T)
 
     q1_form = tuple(range(n))
     q2_form = tuple(range(n))

@@ -10,7 +10,10 @@ P-free at every length, so the thickness is infinite.
 Everything here is exact and deterministic at laboratory sizes: cliques by
 branch-and-bound over bitmask adjacency (the first maximum found is the
 lexicographically least), minimal covers by iterative deepening from the
-counting bound.  Each routine reports concrete witnesses.
+counting bound.  Each routine reports concrete witnesses.  One clique
+search, :func:`_max_clique`, answers every P-free question; a size cap
+stops it for ``spread_length``, for ``permfact.express_even``'s support
+budget and, above ``EXACT_CLIQUE_CAP`` elements, for the thickness.
 
 Both searches use the group's symmetry, which leaves every witness as it
 would be without it.  The P-free graph is a Cayley graph, on which left
@@ -79,11 +82,13 @@ def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
     lex-less than any clique without it.  ``cap`` stops the search as soon
     as a clique of that size is known; one of that size exists iff one
     containing 0 does, so the cap is reached at the same clique as by a
-    search over all vertices.  The include-branch is descended in place
-    and only the exclude-branch is stacked, as the clique length it
-    resumes from and its candidates, so the depth is not bounded by the
-    recursion limit; an exclude-branch that the incumbent already cuts is
-    not stacked at all.
+    search over all vertices.  A lower bound is the search's first clique,
+    ``cap=1``: no bound cuts before a clique is recorded, so it is the
+    greedy one, the lowest candidate from 0 on.  The include-branch is
+    descended in place and only the exclude-branch is stacked, as the
+    clique length it resumes from and its candidates, so the depth is not
+    bounded by the recursion limit; an exclude-branch that the incumbent
+    already cuts is not stacked at all.
     """
     best: list[int] = []
     cur = [0]
@@ -110,30 +115,18 @@ def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
     return best
 
 
-def _greedy_clique(adj: list[int], n: int) -> list[int]:
-    out, cand = [], (1 << n) - 1
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        out.append(v)
-        cand &= adj[v]
-    return out
-
-
-def _quotient_clique(G: FiniteGroup, M: np.ndarray, exact: bool = True,
-                     cap: int | None = None) -> list[int]:
+def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> list[int]:
     """Sorted largest set of elements whose quotients a^-1 b all lie in M.
 
-    Builds the Cayley-graph adjacency "a^-1 b in M", searches it exactly
-    (or greedily when ``exact`` is false) and asserts the defining property
-    on the returned witness.
+    Builds the Cayley-graph adjacency "a^-1 b in M", searches it up to
+    ``cap`` and asserts the defining property on the returned witness.
     """
-    n = G.order
     adj = []
-    for a in range(n):
+    for a in range(G.order):
         inside = M[G.row(G.inv(a))]  # inside[b] = (a^-1 b in M)
         inside[a] = False
         adj.append(_pack_bits(inside))
-    witness = sorted(_max_clique(adj, cap) if exact else _greedy_clique(adj, n))
+    witness = sorted(_max_clique(adj, cap))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
             assert M[G.mul(G.inv(a), b)]
@@ -144,21 +137,21 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, exact: bool = True,
 # thickness
 
 
-def thickness(G: FiniteGroup, P: np.ndarray, exact_cap: int = EXACT_CLIQUE_CAP) -> dict:
+def thickness(G: FiniteGroup, P: np.ndarray) -> dict:
     """Minimal N for which P is N-thick, with a maximal P-free witness.
 
     Returns ``{"value": int | inf, "witness": [...], "status": ...}``;
-    status is "exact" below the clique cap and "lower_bound_only" above it
-    (a greedy clique still certifies the reported value as a lower bound).
-    The witness is a P-free sequence of length value - 1 (element indices);
-    for infinite thickness it is the constant sequence [0, 0].
+    status is "exact" up to ``EXACT_CLIQUE_CAP`` elements and
+    "lower_bound_only" above it, where the search stops at its first
+    clique, a lower bound.  The witness is a P-free sequence of length
+    value - 1 (element indices); for infinite thickness it is [0, 0].
     """
     if not is_symmetric_mask(G, P):
         raise InputError("not_symmetric", "thickness needs P = P^-1")
     if not P[0]:
         return {"value": math.inf, "witness": [0, 0], "status": "exact"}
-    exact = G.order <= exact_cap
-    witness = _quotient_clique(G, ~P, exact=exact)
+    exact = G.order <= EXACT_CLIQUE_CAP
+    witness = _quotient_clique(G, ~P, cap=None if exact else 1)
     return {"value": len(witness) + 1, "witness": witness,
             "status": "exact" if exact else "lower_bound_only"}
 

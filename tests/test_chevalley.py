@@ -27,7 +27,7 @@ from glab.chevalley import (
     w_elem,
     x_elem,
 )
-from glab.errors import InputError, PropertyFailure
+from glab.errors import CapExceeded, InputError, PropertyFailure
 from glab.groupcore import mat_identity, mat_inverse, mat_mul
 
 
@@ -252,3 +252,23 @@ def test_regular_sequence_field_too_small():
     with pytest.raises(InputError) as e:
         regular_sequence("A", 2, 3, 4)
     assert e.value.code == "field_too_small"
+
+
+@pytest.mark.parametrize("rank, p, m", [(1, 5, 2), (1, 7, 2), (1, 7, 3),
+                                        (2, 5, 2), (2, 7, 2), (2, 7, 3),
+                                        (2, 11, 4), (1, 24989, 2)])
+def test_regular_sequence_within_the_bound(rank, p, m):
+    """The CLI benchmark's inputs, criterion 5's, and one with
+    (p - 1)·m·m = 99,952 just below the cap."""
+    assert len(regular_sequence("A", rank, p, m)["elements"]) == m
+
+
+@pytest.mark.parametrize("p, m, code", [(25013, 2, "order_cap_exceeded"),
+                                        (5, 158, "field_too_small"),
+                                        (5, 159, "order_cap_exceeded")])
+def test_regular_sequence_bound_covers_p_and_m(p, m, code):
+    """(p - 1)·m·m is bounded by the order cap, 100,000, before anything
+    else: 25012·4 and 4·159² pass it, 4·158² does not."""
+    with pytest.raises((CapExceeded, InputError)) as e:
+        regular_sequence("A", 1, p, m)
+    assert e.value.code == code

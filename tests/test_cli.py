@@ -528,6 +528,29 @@ def test_verify_relations_refuses_too_many_instances(capsys, hang_guard,
     assert rep["error"]["details"]["cap"] == 100000
 
 
+@pytest.mark.parametrize("rank", ["-1", "0"])
+def test_verify_relations_refuses_a_rank_below_1(capsys, rank):
+    code, rep = run_cli(capsys, "chevalley", "verify-relations",
+                        "--rank", rank, "--p", "5")
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"] == {"rank": int(rank)}
+
+
+@pytest.mark.parametrize("p, m", [("1000000000000000003", "2"),
+                                  ("99991", "5000")])
+def test_sequence_refuses_too_many_checks(capsys, hang_guard, p, m):
+    """The scan for s and the m·m quotient checks are bounded before the
+    primality test of p; these ran for more than 10 s and 60 s before."""
+    t0 = time.monotonic()
+    code, rep = run_cli(capsys, "chevalley", "sequence",
+                        "--rank", "1", "--p", p, "--m", m)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3
+    assert rep["error"]["code"] == "order_cap_exceeded"
+    assert rep["error"]["details"]["cap"] == 100000
+
+
 @pytest.mark.parametrize("rank, p", [("2", "7"), ("2", "11")])
 def test_verify_relations_under_the_cap(capsys, rank, p):
     code, rep = run_cli(capsys, "chevalley", "verify-relations",

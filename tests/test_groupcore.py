@@ -18,6 +18,7 @@ from glab.groupcore import (
     ball_mask,
     build_group,
     commutator_width,
+    derived_subgroup,
     element_text,
     inverse_mask,
     is_subgroup_mask,
@@ -178,7 +179,7 @@ def test_product_mask_brute_force(sym3):
 
 
 @functools.cache
-def _class_product_group(spec):
+def _group(spec):
     return build_group(parse_group_spec(spec))
 
 
@@ -198,7 +199,7 @@ def _product_oracle(G, a_mask, b_mask):
 def test_product_of_class_unions_matches_every_row(spec, data):
     """Unions of classes take one row per class of A; the product must be
     the union over every element of A."""
-    G = _class_product_group(spec)
+    G = _group(spec)
     cid, reps = G.conjugacy_classes()
     classes = st.sets(st.integers(0, len(reps) - 1), max_size=4)
     A = np.isin(cid, sorted(data.draw(classes)))
@@ -282,6 +283,32 @@ def test_subgroup_masks(sym4):
     assert not is_subgroup_mask(sym4, mask_from_indices(sym4, [0, 1, 2]))
     three = sym4.subgroup_closure([parse_element(sym4, "(1,2,3)")])
     assert int(three.sum()) == 3 and is_subgroup_mask(sym4, three)
+
+
+def _all_commutators_closure(G, H):
+    """[H, H] by brute force: the subgroup generated by [a, b] for every
+    pair in H, over form-level products."""
+    members = np.flatnonzero(H).tolist()
+    return G.subgroup_closure(sorted({G.comm(a, b) for a in members
+                                      for b in members}))
+
+
+@given(st.sampled_from(["Sym(4)", "SL(2,3)", "SL(2,5)", "Alt(5)"]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_derived_subgroup_matches_all_commutators(spec, data):
+    G = _group(spec)
+    seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    H = G.subgroup_closure(seeds)
+    assert (derived_subgroup(G, H) == _all_commutators_closure(G, H)).all()
+
+
+@pytest.mark.parametrize("spec, order", [("Sym(4)", 12), ("SL(2,3)", 8),
+                                         ("SL(2,5)", 120), ("Alt(5)", 60)])
+def test_derived_mask_matches_all_commutators(spec, order):
+    G = _group(spec)
+    D = G.derived_mask()
+    assert int(D.sum()) == order
+    assert (D == _all_commutators_closure(G, np.ones(G.order, dtype=bool))).all()
 
 
 def test_normal_closure(sym4):

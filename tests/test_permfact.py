@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import glab.permfact as permfact
+import glab.thickset as thickset
 from glab.errors import InputError, PropertyFailure
 from glab.groupcore import (
     build_group,
@@ -390,8 +391,8 @@ def _express_or_error(G, P, sigma):
 
 def test_express_budget_flag_matches_the_full_thickness(alt5, monkeypatch):
     """The flag's clique search stops at the bound it needs; over every
-    normal set with e and every class of Alt(5) it gives what a full
-    thickness (the path of groups above the clique cap) gives."""
+    normal set with e and every class of Alt(5) it gives what a clique
+    search without that stop, the full thickness, gives."""
     cid, reps = alt5.conjugacy_classes()
     sets = []
     for picks in itertools.product((False, True), repeat=len(reps) - 1):
@@ -401,12 +402,33 @@ def test_express_budget_flag_matches_the_full_thickness(alt5, monkeypatch):
                 P |= alt5.class_mask(r)
         sets.append(P)
     capped = [_express_or_error(alt5, P, r) for P in sets for r in reps]
-    monkeypatch.setattr(permfact, "EXACT_CLIQUE_CAP", 0)
+    full_clique = permfact._quotient_clique
+    monkeypatch.setattr(permfact, "_quotient_clique",
+                        lambda G, M, cap=None: full_clique(G, M))
     full = [_express_or_error(alt5, P, r) for P in sets for r in reps]
     assert capped == full
     flags = Counter(got["budget_guaranteed"] for got in capped
                     if isinstance(got, dict))
     assert flags[True] > 0 and flags[False] > 0
+
+
+def test_express_budget_flag_above_the_clique_cap(hang_guard):
+    """Sym(7) is above the clique cap, and the flag still asks the capped
+    search.  P misses the transpositions and the class of (2,4,6)(3,5,7),
+    and [0, 11, 92] is a P-free triangle, so P is not 3-thick, while the
+    budget of sigma = (1,2,3) on 7 points needs 3-thick.  The greedy
+    clique, a lower bound on the thickness, had the flag read true."""
+    G = build_group(parse_group_spec("Sym(7)"))
+    assert G.order > thickset.EXACT_CLIQUE_CAP
+    P = ~(G.class_mask(parse_element(G, "(1,2)"))
+          | G.class_mask(parse_element(G, "(2,4,6)(3,5,7)")))
+    for a, b in itertools.combinations([0, 11, 92], 2):
+        assert not P[G.mul(G.inv(a), b)]
+    sigma = parse_element(G, "(1,2,3)")
+    got = express_even(G, P, sigma)
+    assert got["budget_guaranteed"] is False
+    assert P[got["q1"]] and P[got["q2"]]
+    assert G.mul(got["q1"], got["q2"]) == sigma
 
 
 @pytest.mark.parametrize("cls,mode", [("(1,2,3)", "constructive"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glab.thickset as thickset
 from glab.errors import CapExceeded, InputError
 from glab.groupcore import (
     CycSpec,
@@ -17,6 +18,7 @@ from glab.groupcore import (
     parse_group_spec,
 )
 from glab.thickset import (
+    _max_clique,
     bounded_simplicity_degree,
     check_intersection_bound,
     covering_number,
@@ -253,6 +255,13 @@ def _bits(mask):
     return sum(1 << int(i) for i in np.nonzero(mask)[0])
 
 
+def _free_adjacency(G, P):
+    """Bitmask rows of the P-free graph: b is a neighbour of a iff a^-1 b
+    lies outside P and b != a."""
+    inv = G.inverses()
+    return [_bits(~P[G.row(int(inv[a]))]) & ~(1 << a) for a in range(G.order)]
+
+
 @given(st.sampled_from(["Alt(5)", "Sym(5)"]), st.floats(0.45, 0.8),
        st.integers(0, 2**32 - 1), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
@@ -263,12 +272,40 @@ def test_searches_match_the_unpruned_searches(spec, density, seed, cap):
     P = np.random.default_rng(seed).random(G.order) < density
     P[0] = True
     P |= inverse_mask(G, P)
-    inv = G.inverses()
-    adj = [_bits(~P[G.row(int(inv[a]))]) & ~(1 << a) for a in range(G.order)]
+    adj = _free_adjacency(G, P)
     assert thickness(G, P)["witness"] == _unpruned_max_clique(adj, G.order)
     assert spread_length(G, ~P, cap=cap)["witness"] == \
         _unpruned_max_clique(adj, G.order, cap)[:cap]
     assert genericity(G, P) == _unpruned_cover(G, P)
+
+
+def _greedy_clique(adj, n):
+    """The greedy clique that ``thickness`` took above the clique cap
+    before the capped search replaced it: the lowest candidate, from
+    vertex 0 on, until none is left."""
+    out, cand = [], (1 << n) - 1
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        out.append(v)
+        cand &= adj[v]
+    return out
+
+
+@given(st.sampled_from(SMALL_GROUPS + ("Alt(5)", "Sym(5)", "SL(2,5)",
+                                       "Quot(SL(2,5),center)")), st.data())
+@settings(max_examples=100, deadline=None)
+def test_first_clique_is_the_greedy_clique(spec, data):
+    """The search stopped at its first clique returns the greedy clique,
+    and above the clique cap the thickness is that lower bound."""
+    G = _group(spec)
+    P = _drawn_set(G, data, symmetric=True)
+    adj = _free_adjacency(G, P)
+    greedy = _greedy_clique(adj, G.order)
+    assert _max_clique(adj, 1) == greedy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickset, "EXACT_CLIQUE_CAP", 0)
+        assert thickness(G, P) == {"value": len(greedy) + 1, "witness": greedy,
+                                   "status": "lower_bound_only"}
 
 
 # the four sets whose searches took seconds before the searches used the
