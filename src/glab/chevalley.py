@@ -213,42 +213,105 @@ def enumerate_unipotent_products(n: int, p: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# relation verification
+# relation verification, batched: each check stacks its left sides and its
+# expected right sides as (..., n, n) int64 arrays, one root at a time, and
+# counts the instances whose blocks differ
+
+
+def _x_stack(n: int, p: int, roots, s) -> np.ndarray:
+    """x_a(s) as int64 (n, n) blocks over the broadcast shape of ``roots``
+    (an integer array whose last axis holds a root (i, j)) and ``s``."""
+    roots = np.asarray(roots, dtype=np.int64)
+    i, j, s = np.broadcast_arrays(roots[..., 0], roots[..., 1],
+                                  np.asarray(s, dtype=np.int64) % p)
+    out = np.zeros(s.shape + (n, n), dtype=np.int64)
+    out[..., range(n), range(n)] = 1
+    out.reshape(-1, n, n)[np.arange(s.size), i.ravel(), j.ravel()] = s.ravel()
+    return out
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Products mod p of two broadcasting stacks of residue matrices."""
+    # an entry of a product is a sum of n terms below p^2; the CLI's
+    # instance cap keeps p <= 157 (at rank 1), far inside int64
+    assert a.shape[-1] * (p - 1) ** 2 < 2 ** 63, "int64 products overflow"
+    return np.matmul(a, b) % p
+
+
+def _checked_inverse(x: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
+    """``xi``, once x·xi = I is checked over the whole stack."""
+    assert (_mul_mod(x, xi, p) == np.eye(x.shape[-1], dtype=np.int64)).all(), \
+        "stacked inverse must invert"
+    return xi
+
+
+def _mismatches(lhs: np.ndarray, rhs: np.ndarray) -> int:
+    """Instances whose (n, n) blocks differ."""
+    return int((lhs != rhs).any(axis=(-2, -1)).sum())
 
 
 def verify_torus_conjugation(n: int, p: int) -> dict:
-    """t x_a(s) t^-1 = x_a(a(t) s) over every diagonal t, root a, scalar s."""
+    """t x_a(s) t^-1 = x_a(a(t) s) over every diagonal t, root a, scalar s.
+
+    The diagonals stack once with their inverses; each root then conjugates
+    its p root elements by every t in one product, against the root
+    elements at a(t)·s, with a(t) = t_i / t_j read off the diagonal.
+    """
     require_prime(p, "verify_torus_conjugation")
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    d = np.array(_all_diagonals(n, p), dtype=np.int64).reshape(-1, n, n)
+    entries = d[:, range(n), range(n)]
+    di = np.zeros_like(d)
+    di[:, range(n), range(n)] = inverse[entries]
+    _checked_inverse(d, di, p)
+    s = np.arange(p)
     checked = failures = 0
-    for t in _all_diagonals(n, p):
-        ti = mat_inverse(t, n, p)
-        for root in all_roots(n):
-            av = root_value(t, root, n, p)
-            for s in range(p):
-                lhs = mat_mul(mat_mul(t, x_elem(n, p, root, s), n, p), ti, n, p)
-                rhs = x_elem(n, p, root, av * s)
-                checked += 1
-                failures += lhs != rhs
+    for i, j in all_roots(n):
+        x = _x_stack(n, p, (i, j), s)
+        lhs = _mul_mod(_mul_mod(d[:, None], x, p), di[:, None], p)
+        value = entries[:, i] * inverse[entries[:, j]] % p
+        checked += lhs.size // (n * n)
+        failures += _mismatches(lhs, _x_stack(n, p, (i, j), value[:, None] * s))
     return {"checked": checked, "failures": failures}
 
 
 def verify_weyl_torus_action(n: int, p: int) -> dict:
-    """t_a(u) x_b(s) t_a(u)^-1 = x_b(u^<b,a> s) over all roots a, b."""
+    """t_a(u) x_b(s) t_a(u)^-1 = x_b(u^<b,a> s) over all roots a, b.
+
+    The root elements x_b(s) stack once; each root a builds its p - 1
+    elements t_a(u) form-level and conjugates the whole stack by them in
+    one product, against the root elements at u^<b,a>·s.
+    """
     require_prime(p, "verify_weyl_torus_action")
+    roots = all_roots(n)
+    s = np.arange(p)
+    rs = np.array(roots)[:, None]
+    x = _x_stack(n, p, rs, s)
+    # u^k mod p for u = 1..p-1 and each pairing k that occurs
+    pairings = np.array([[root_pairing(b, a) for b in roots] for a in roots])
+    ks = np.unique(pairings)
+    powers = np.array([[pow(u, int(k), p) for k in ks] for u in range(1, p)])
     checked = failures = 0
-    for alpha in all_roots(n):
-        for u in range(1, p):
-            ta = t_elem(n, p, alpha, u)
-            tai = mat_inverse(ta, n, p)
-            for beta in all_roots(n):
-                k = root_pairing(beta, alpha)
-                mult = pow(u, k, p) if k >= 0 else pow(pow(u, -1, p), -k, p)
-                for s in range(p):
-                    lhs = mat_mul(mat_mul(ta, x_elem(n, p, beta, s), n, p),
-                                  tai, n, p)
-                    checked += 1
-                    failures += lhs != x_elem(n, p, beta, mult * s)
+    for alpha, row in zip(roots, pairings):
+        ts = [t_elem(n, p, alpha, u) for u in range(1, p)]
+        ta, tai = (np.array(m, dtype=np.int64).reshape(-1, 1, 1, n, n)
+                   for m in (ts, [mat_inverse(t, n, p) for t in ts]))
+        lhs = _mul_mod(_mul_mod(ta, x, p), _checked_inverse(ta, tai, p), p)
+        mult = powers[:, np.searchsorted(ks, row), None]
+        checked += lhs.size // (n * n)
+        failures += _mismatches(lhs, _x_stack(n, p, rs, mult * s))
     return {"checked": checked, "failures": failures}
+
+
+def _commutator_target(a: Root, b: Root) -> tuple[Root | None, int]:
+    """(a + b, N) with [x_a(s), x_b(u)] = x_{a+b}(N s u), or (None, 0) when
+    a + b is not a root (and a != -b), so that the two commute."""
+    (i, j), (k, l) = a, b
+    if j == k and i != l:
+        return (i, l), 1
+    if l == i and k != j:
+        return (k, j), -1
+    return None, 0
 
 
 def commutator_structure_constants(n: int, p: int) -> dict:
@@ -257,32 +320,34 @@ def commutator_structure_constants(n: int, p: int) -> dict:
     For type A the nonzero cases are head-to-tail pairs: a = (i,j),
     b = (j,k) gives N = +1 on (i,k); a = (i,j), b = (k,i) gives N = -1 on
     (k,j).  Non-adjacent pairs (a+b not a root, a != -b) must commute.
-    Everything is verified against matrix arithmetic for all s, u.
+    Everything is verified against matrix arithmetic for all s, u: each
+    root a forms its commutators with every other root b != -a and all
+    p·p scalar pairs in one product.
     """
     require_prime(p, "commutator_structure_constants")
     constants = {}
     failures = 0
     roots = all_roots(n)
+    s = np.arange(p)
     for a in roots:
-        for b in roots:
-            if a == b or (a[0] == b[1] and a[1] == b[0]):
-                continue
-            i, j = a
-            k, l = b
-            if j == k and i != l:
-                target, expect = (i, l), 1
-            elif l == i and k != j:
-                target, expect = (k, j), -1
-            else:
-                target, expect = None, 0
-            for s in range(p):
-                for u in range(p):
-                    comm = _comm(x_elem(n, p, a, s), x_elem(n, p, b, u), n, p)
-                    want = (x_elem(n, p, target, expect * s * u)
-                            if target else mat_identity(n))
-                    failures += comm != want
+        others = [b for b in roots if b != a and b != (a[1], a[0])]
+        if not others:
+            continue
+        rules = [_commutator_target(a, b) for b in others]
+        xa = _x_stack(n, p, a, s)[None, :, None]
+        xai = _checked_inverse(xa, _x_stack(n, p, a, -s)[None, :, None], p)
+        bs = np.array(others)[:, None]
+        xb = _x_stack(n, p, bs, s)[:, None, :]
+        xbi = _checked_inverse(xb, _x_stack(n, p, bs, -s)[:, None, :], p)
+        comm = _mul_mod(_mul_mod(_mul_mod(xai, xbi, p), xa, p), xb, p)
+        # x_a(0) = I stands for the identity of a commuting pair
+        targets = np.array([t or a for t, _ in rules])[:, None, None]
+        sign = np.array([c for _, c in rules])[:, None, None]
+        failures += _mismatches(comm, _x_stack(n, p, targets,
+                                               sign * np.multiply.outer(s, s)))
+        for b, (target, c) in zip(others, rules):
             if target:
-                constants[f"{a}+{b}"] = expect
+                constants[f"{a}+{b}"] = c
     return {"constants": constants, "failures": failures}
 
 
@@ -473,6 +538,13 @@ def regular_sequence(family: str, rank: int, p: int, m: int) -> dict:
     # bound the scan over s < p and the m·m quotient checks before the
     # primality test, which is slow for a large p
     check_order((p - 1, m, m), DEFAULT_ORDER_CAP, "sequence checks")
+    # lambda_weights tries weightings with entries up to the largest entry
+    # of its scaled rational seed, i (rank + 1 - i) / 2 for A_rank (doubled
+    # for an odd rank): bound upper^rank of them before building anything
+    i = (rank + 1) // 2
+    upper = i * (rank + 1 - i) // (1 if rank % 2 else 2)
+    check_order(itertools.repeat(upper, max(rank, 0)), DEFAULT_ORDER_CAP,
+                "weight search")
     require_prime(p, "regular_sequence")
     R = rootsys.build_root_system(family, rank)
     lam = rootsys.lambda_weights(R)

@@ -21,6 +21,7 @@ error (any other exception, reported with the code ``internal_error``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -367,7 +368,14 @@ def _int_option(text: str) -> int:
             f"expected an integer, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``glab`` parser, built on the first call and then reused.
+
+    A task names its handler, which ``main`` looks up when the task runs,
+    so the parser holds no state of a run: each ``parse_args`` starts from
+    a fresh namespace with the defaults.
+    """
     root = argparse.ArgumentParser(
         prog="glab", description="finite group laboratory")
     root.add_argument("--version", action="version", version=__version__)
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="generator relations in SL(rank+1, p)")
     c1.add_argument("--rank", type=_int_option, required=True)
     c1.add_argument("--p", type=_int_option, required=True)
-    c1.set_defaults(handler=_run_chev_relations, task="chevalley.verify-relations")
+    c1.set_defaults(handler="_run_chev_relations", task="chevalley.verify-relations")
 
     c2 = chev_sub.add_parser("class-cube",
                              help="class square/cube coverage for regular "
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     c2.add_argument("--p", type=_int_option, required=True)
     c2.add_argument("--t", type=str, default=None,
                     help="diagonal entries d1,d2,... (default: all regular)")
-    c2.set_defaults(handler=_run_chev_class_cube, task="chevalley.class-cube")
+    c2.set_defaults(handler="_run_chev_class_cube", task="chevalley.class-cube")
 
     c3 = chev_sub.add_parser("gauss",
                              help="conjugate to a prescribed Gauss diagonal")
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="group element, row-major entries a,b,c,...")
     c3.add_argument("--t", type=str, required=True,
                     help="target diagonal as a group element")
-    c3.set_defaults(handler=_run_chev_gauss, task="chevalley.gauss")
+    c3.set_defaults(handler="_run_chev_gauss", task="chevalley.gauss")
 
     c4 = chev_sub.add_parser("sequence",
                              help="torus sequence with regular quotients")
@@ -407,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     c4.add_argument("--rank", type=_int_option, required=True)
     c4.add_argument("--p", type=_int_option, required=True)
     c4.add_argument("--m", type=_int_option, required=True)
-    c4.set_defaults(handler=_run_chev_sequence, task="chevalley.sequence")
+    c4.set_defaults(handler="_run_chev_sequence", task="chevalley.sequence")
 
     thick = areas.add_parser("thick", help="thickness and genericity")
     thick_sub = thick.add_subparsers(dest="task", required=True)
@@ -417,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--probe-normal", action="store_true",
                     help="experimental: largest normal subgroup inside "
                          "P^(3m-2) and its index")
-    t1.set_defaults(handler=_run_thick_analyze, task="thick.analyze")
+    t1.set_defaults(handler="_run_thick_analyze", task="thick.analyze")
 
     perm = areas.add_parser("perm", help="permutation identities and words")
     perm_sub = perm.add_subparsers(dest="task", required=True)
@@ -429,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--full-cap", type=_int_option, default=8)
     p1.add_argument("--seed", type=_int_option, default=0)
     p1.add_argument("--samples", type=_int_option, default=200)
-    p1.set_defaults(handler=_run_perm_identities, task="perm.identities")
+    p1.set_defaults(handler="_run_perm_identities", task="perm.identities")
 
     p2 = perm_sub.add_parser("express",
                              help="two factors in a normal thick set")
@@ -437,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--set", type=str, required=True)
     p2.add_argument("--sigma", type=str, required=True)
     p2.add_argument("--no-fallback", action="store_true")
-    p2.set_defaults(handler=_run_perm_express, task="perm.express")
+    p2.set_defaults(handler="_run_perm_express", task="perm.express")
 
     p3 = perm_sub.add_parser("distance", help="least k with tau in class^k")
     p3.add_argument("--group", type=str, required=True)
     p3.add_argument("--sigma", type=str, required=True)
     p3.add_argument("--tau", type=str, required=True)
     p3.add_argument("--cap", type=_int_option, default=None)
-    p3.set_defaults(handler=_run_perm_distance, task="perm.distance")
+    p3.set_defaults(handler="_run_perm_distance", task="perm.distance")
 
     exta = areas.add_parser("ext", help="central extensions by cocycles")
     ext_sub = exta.add_subparsers(dest="task", required=True)
@@ -459,16 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     e1 = ext_sub.add_parser("build", help="build and certify the extension")
     _cocycle_args(e1)
-    e1.set_defaults(handler=_run_ext_build, task="ext.build")
+    e1.set_defaults(handler="_run_ext_build", task="ext.build")
 
     e2 = ext_sub.add_parser("split", help="does the extension split?")
     _cocycle_args(e2)
-    e2.set_defaults(handler=_run_ext_split, task="ext.split")
+    e2.set_defaults(handler="_run_ext_split", task="ext.split")
 
     e3 = ext_sub.add_parser("bound", help="sumset bound on section powers")
     _cocycle_args(e3)
     e3.add_argument("--n-max", type=_int_option, default=4)
-    e3.set_defaults(handler=_run_ext_bound, task="ext.bound")
+    e3.set_defaults(handler="_run_ext_bound", task="ext.bound")
 
     e4 = ext_sub.add_parser("iwasawa", help="covering certificate A^k = G")
     e4.add_argument("--group", type=str, required=True)
@@ -476,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="subset expression; symmetrized, identity added")
     e4.add_argument("--b", type=str, required=True,
                     help="subset expression for the solvable subgroup")
-    e4.set_defaults(handler=_run_ext_iwasawa, task="ext.iwasawa")
+    e4.set_defaults(handler="_run_ext_iwasawa", task="ext.iwasawa")
 
     return root
 
@@ -487,11 +495,15 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    """Run one task and print its report; return the exit code."""
+    """Run one task and print its report; return the exit code.
+
+    The parser is built by the first call in a process, not at import,
+    and every later call reuses it.
+    """
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        results = _clean(args.handler(args))
+        results = _clean(globals()[args.handler](args))
     except Exception as e:
         if isinstance(e, ToolkitError):
             error = {"code": e.code, "message": e.message,

@@ -20,6 +20,7 @@ from .groupcore import (
     CocycleExtSpec,
     FiniteGroup,
     GroupSpec,
+    _require,
     build_group,
     check_order,
     derived_subgroup,
@@ -196,6 +197,7 @@ def image_bound_check(E: FiniteGroup, spec: CocycleExtSpec,
     first coordinates of P^n must land in
     (2n-1)-sumset(im h) + n-sumset(-im h) - n*h(e,e).
     """
+    _require(n_max >= 1, "the bound needs n_max >= 1", n_max=n_max)
     base = build_group(spec.base)
     m = base.order
     h = np.asarray(spec.values, dtype=np.int64).reshape(m, m)
@@ -276,6 +278,8 @@ def commutator_expansion_check(G: FiniteGroup, count: int = 10_000,
         (a1^-1)^{b1} * (a2^-1 a1)^{b2 b1} * a2^{b2^{b1}} * [b1, b2]
     with x^y = y^-1 x y and [a, b] = a^-1 b^-1 a b.
     """
+    _require(min(seed, count) >= 0, "seed and count must be >= 0",
+             seed=seed, count=count)
     rng = np.random.default_rng(seed)
     if quadruples is None:
         quadruples = rng.integers(0, G.order, size=(count, 4))
@@ -302,8 +306,8 @@ def commutator_expansion_check(G: FiniteGroup, count: int = 10_000,
 
 def coboundary_cocycle(base: FiniteGroup, p: int, seed: int = 0) -> np.ndarray:
     """The coboundary of a random function u: h(x,y) = u(x)+u(y)-u(xy)."""
-    if p < 2:
-        raise InputError("invalid_parameters", "modulus must be >= 2", p=p)
+    _require(p >= 2, "modulus must be >= 2", p=p)
+    _require(seed >= 0, "seed must be >= 0", seed=seed)
     rng = np.random.default_rng(seed)
     u = rng.integers(0, p, size=base.order)
     M = np.stack([base.row(x) for x in range(base.order)])

@@ -28,6 +28,7 @@ from .groupcore import (
     FiniteGroup,
     SymSpec,
     _cycles_of,
+    _require,
     is_normal_mask,
     is_symmetric_mask,
     perm_compose,
@@ -223,6 +224,9 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     of their own points under (x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b); a
     violation reports the first bad instance in that order.
     """
+    _require(min(seed, random_samples, full_cap_points) >= 0,
+             "seed, sample count and full cap must be >= 0", seed=seed,
+             random_samples=random_samples, full_cap_points=full_cap_points)
     rng = np.random.default_rng(seed)
     if shapes is None:
         shapes = [(2 * p + 1, 2 * q + 1)

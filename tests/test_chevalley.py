@@ -1,11 +1,15 @@
 """Matrix calculus in SL_n(F_p): root elements, relations, transport, Gauss."""
 
 import itertools
+import math
+import time
 
 import pytest
 
+import glab.chevalley as chevalley
 from glab.chevalley import (
     _ldu,
+    _all_diagonals,
     all_roots,
     class_cube,
     commutator_structure_constants,
@@ -17,6 +21,7 @@ from glab.chevalley import (
     positive_roots,
     regular_diagonals,
     regular_sequence,
+    root_pairing,
     root_value,
     t_elem,
     transport_into_opposite,
@@ -29,6 +34,7 @@ from glab.chevalley import (
 )
 from glab.errors import CapExceeded, InputError, PropertyFailure
 from glab.groupcore import mat_identity, mat_inverse, mat_mul
+from glab.rootsys import _rational_seed, build_root_system
 
 
 def _comm(a, b, n, p):
@@ -82,6 +88,104 @@ def test_structure_constants_rank2():
     c = sc["constants"]["(0, 1)+(1, 2)"]
     got = _comm(x_elem(n, p, (0, 1), 2), x_elem(n, p, (1, 2), 3), n, p)
     assert got == x_elem(n, p, (0, 2), (c * 2 * 3) % p)
+
+
+# -- the batched relation checks against per-instance form-level loops;
+# the targets' rules (the commutator constant, the pairing) are read from
+# the module, so one mutated rule reaches both sides
+
+
+def _oracle_torus(n, p):
+    checked = failures = 0
+    for t in _all_diagonals(n, p):
+        ti = mat_inverse(t, n, p)
+        for root in all_roots(n):
+            av = root_value(t, root, n, p)
+            for s in range(p):
+                lhs = mat_mul(mat_mul(t, x_elem(n, p, root, s), n, p), ti, n, p)
+                checked += 1
+                failures += lhs != x_elem(n, p, root, av * s)
+    return {"checked": checked, "failures": failures}
+
+
+def _oracle_weyl(n, p):
+    checked = failures = 0
+    for alpha in all_roots(n):
+        for u in range(1, p):
+            ta = t_elem(n, p, alpha, u)
+            tai = mat_inverse(ta, n, p)
+            for beta in all_roots(n):
+                k = chevalley.root_pairing(beta, alpha)
+                mult = pow(u, k, p) if k >= 0 else pow(pow(u, -1, p), -k, p)
+                for s in range(p):
+                    lhs = mat_mul(mat_mul(ta, x_elem(n, p, beta, s), n, p),
+                                  tai, n, p)
+                    checked += 1
+                    failures += lhs != x_elem(n, p, beta, mult * s)
+    return {"checked": checked, "failures": failures}
+
+
+def _oracle_commutators(n, p):
+    constants, failures = {}, 0
+    for a in all_roots(n):
+        for b in all_roots(n):
+            if a == b or (a[0] == b[1] and a[1] == b[0]):
+                continue
+            target, expect = chevalley._commutator_target(a, b)
+            for s in range(p):
+                for u in range(p):
+                    comm = _comm(x_elem(n, p, a, s), x_elem(n, p, b, u), n, p)
+                    want = (x_elem(n, p, target, expect * s * u)
+                            if target else mat_identity(n))
+                    failures += comm != want
+            if target:
+                constants[f"{a}+{b}"] = expect
+    return {"constants": constants, "failures": failures}
+
+
+RELATION_CASES = [(rank, p) for rank in (1, 2, 3) for p in (2, 3, 5, 7)
+                  if rank < 3 or p <= 5]
+
+
+@pytest.mark.parametrize("rank, p", RELATION_CASES)
+def test_batched_relations_match_the_form_level_loops(rank, p):
+    n = rank + 1
+    assert verify_torus_conjugation(n, p) == _oracle_torus(n, p)
+    assert verify_weyl_torus_action(n, p) == _oracle_weyl(n, p)
+    got, want = commutator_structure_constants(n, p), _oracle_commutators(n, p)
+    assert got == want
+    assert list(got["constants"]) == list(want["constants"])  # same order
+
+
+@pytest.mark.parametrize("rank, p", [(1, 5), (2, 3), (2, 7), (3, 5)])
+def test_batched_relations_count_a_wrong_pairing(rank, p, monkeypatch):
+    """<b, a> + 1 for b = a: u^(k+1) s differs from u^k s unless u = 1 or
+    s = 0, so the (p - 2)(p - 1) other instances of that pair fail."""
+    n = rank + 1
+    a = all_roots(n)[0]
+    monkeypatch.setattr(chevalley, "root_pairing",
+                        lambda b, al: root_pairing(b, al) + (b == al == a))
+    got = verify_weyl_torus_action(n, p)["failures"]
+    assert got == _oracle_weyl(n, p)["failures"] == (p - 2) * (p - 1)
+
+
+@pytest.mark.parametrize("rank, p", [(2, 3), (2, 7), (3, 5)])
+def test_batched_commutators_count_a_negated_constant(rank, p, monkeypatch):
+    """N negated on one head-to-tail pair: x(-su) != x(su) unless su = 0,
+    so (p - 1)^2 instances fail, and the sign is recorded as given."""
+    n = rank + 1
+    pair = ((0, 1), (1, 2))
+    rule = chevalley._commutator_target
+
+    def negated(a, b):
+        target, c = rule(a, b)
+        return target, -c if (a, b) == pair else c
+
+    monkeypatch.setattr(chevalley, "_commutator_target", negated)
+    got, want = commutator_structure_constants(n, p), _oracle_commutators(n, p)
+    assert got == want
+    assert got["failures"] == (p - 1) ** 2
+    assert got["constants"]["(0, 1)+(1, 2)"] == -1
 
 
 @pytest.mark.parametrize("n,p,expected", [
@@ -272,3 +376,29 @@ def test_regular_sequence_bound_covers_p_and_m(p, m, code):
     with pytest.raises((CapExceeded, InputError)) as e:
         regular_sequence("A", 1, p, m)
     assert e.value.code == code
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_weight_search_bound_is_the_scaled_rational_seed(rank):
+    """regular_sequence bounds the weight search by upper^rank from a
+    closed form of the A_rank seed; it is the largest scaled seed entry."""
+    seed = _rational_seed(build_root_system("A", rank))
+    scale = math.lcm(*(x.denominator for x in seed))
+    upper = max(int(x * scale) for x in seed)
+    if upper ** rank <= 100_000:
+        assert len(regular_sequence("A", rank, 101, 2)["elements"]) == 2
+    else:
+        with pytest.raises(CapExceeded) as e:
+            regular_sequence("A", rank, 101, 2)
+        assert e.value.details == {"cap": 100_000, "order": upper ** rank}
+
+
+@pytest.mark.parametrize("rank", [20, 10 ** 9])
+def test_regular_sequence_bounds_the_rank(rank, hang_guard):
+    """lambda_weights and the root system grow exponentially in the rank;
+    both are refused before they start (rank 20 ran past 60 s)."""
+    t0 = time.monotonic()
+    with pytest.raises(CapExceeded) as e:
+        regular_sequence("A", rank, 3, 2)
+    assert time.monotonic() - t0 < 1.0
+    assert e.value.code == "order_cap_exceeded"

@@ -1,10 +1,13 @@
 """Command-line reports: shape, determinism, witness replay, exit codes."""
 
 import json
+import subprocess
+import sys
 import time
 
 import pytest
 
+import glab.cli
 from glab.cli import main
 
 
@@ -559,6 +562,105 @@ def test_verify_relations_under_the_cap(capsys, rank, p):
     assert all(rep["results"][k]["failures"] == 0
                for k in ("structure_constants", "torus_conjugation",
                          "weyl_torus_action"))
+
+
+@pytest.mark.parametrize("rank, p", [(2, 23), (1, 157)])
+def test_verify_relations_largest_under_the_cap(capsys, hang_guard, rank, p):
+    """The largest inputs under the instance cap (r·r·p·p <= 100,000 for
+    r = n(n - 1) roots); they took 1.4 s and 1.0 s with one matrix chain
+    per instance."""
+    n = rank + 1
+    r = n * (n - 1)
+    t0 = time.monotonic()
+    code, rep = run_cli(capsys, "chevalley", "verify-relations",
+                        "--rank", str(rank), "--p", str(p))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0
+    res = rep["results"]
+    assert res["torus_conjugation"] == {
+        "checked": (p - 1) ** (n - 1) * r * p, "failures": 0}
+    assert res["weyl_torus_action"] == {
+        "checked": r * r * (p - 1) * p, "failures": 0}
+    assert res["structure_constants"]["failures"] == 0
+    # a head-to-tail pair per ordered triple of indices, each way round
+    assert len(res["structure_constants"]["constants"]) == 2 * r * (n - 2)
+
+
+def test_sequence_refuses_a_weight_search_over_the_cap(capsys, hang_guard):
+    """The weight search grows exponentially in the rank; rank 20 ran past
+    60 s before it was bounded."""
+    t0 = time.monotonic()
+    code, rep = run_cli(capsys, "chevalley", "sequence",
+                        "--rank", "20", "--p", "3", "--m", "2")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3
+    assert rep["error"]["code"] == "order_cap_exceeded"
+
+
+@pytest.mark.parametrize("argv, details", [
+    (("perm", "identities", "--n", "6", "--seed", "-1"),
+     {"seed": -1, "random_samples": 200, "full_cap_points": 8}),
+    (("perm", "identities", "--samples", "-1", "--full-cap", "-5"),
+     {"seed": 0, "random_samples": -1, "full_cap_points": -5}),
+    (("ext", "build", "--base", "Sym(3)", "--p", "3",
+      "--cocycle", "coboundary", "--seed", "-1"), {"seed": -1}),
+    (("ext", "split", "--base", "Sym(3)", "--p", "3",
+      "--cocycle", "coboundary", "--seed", "-1"), {"seed": -1}),
+    (("ext", "bound", "--cocycle", "carry", "--n-max", "-1"), {"n_max": -1}),
+    (("ext", "bound", "--cocycle", "carry", "--n-max", "0"), {"n_max": 0}),
+])
+def test_negative_seeds_and_counts_are_refused(capsys, argv, details):
+    """A negative seed crashed the rng (exit 4); a negative sample count or
+    n_max gave an empty, vacuous report with exit 0."""
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"] == details
+
+
+# -- one parser per process
+
+
+def test_reused_parser_resets_defaults(capsys):
+    code, rep = run_cli(capsys, "perm", "identities", "--n", "6",
+                        "--samples", "5")
+    assert code == 0 and rep["config"]["n"] == 6
+    code, rep = run_cli(capsys, "perm", "identities", "--samples", "5")
+    assert code == 0 and rep["config"]["n"] == 8
+    assert rep["results"]["merge_scan"]["n"] == 8
+
+
+def test_reused_parser_resets_store_true_flags(capsys):
+    argv = ("thick", "analyze", "--group", "Cyc(6)", "--set", "arc(1)")
+    code, rep = run_cli(capsys, *argv, "--probe-normal")
+    assert code == 0 and "normal_core_probe" in rep["results"]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0 and rep["config"]["probe_normal"] is False
+    assert "normal_core_probe" not in rep["results"]
+
+
+def test_reused_parser_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["perm", "distance", "--group", "Sym(4)"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(4)",
+                        "--sigma", "(1,2)", "--tau", "(1,2,3)")
+    assert code == 0 and rep["results"]["k"] == 2
+
+
+def test_parser_is_built_once_by_main_not_at_import():
+    probe = ("import contextlib, io, glab.cli as c\n"
+             "n0 = c.build_parser.cache_info().misses\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    for p in ('2', '3'):\n"
+             "        c.main(['chevalley', 'verify-relations',"
+             " '--rank', '1', '--p', p])\n"
+             "print(n0, c.build_parser.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
+    assert glab.cli.build_parser() is glab.cli.build_parser()
 
 
 def test_ext_order_with_thousands_of_digits(capsys):

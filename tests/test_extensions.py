@@ -143,6 +143,21 @@ def test_commutator_expansion_explicit_and_random(sym6, sl27):
     assert got == {"checked": 2, "violations": 0}
 
 
+@pytest.mark.parametrize("call, details", [
+    (lambda G: coboundary_cocycle(G, 3, seed=-1), {"seed": -1}),
+    (lambda G: commutator_expansion_check(G, count=5, seed=-1),
+     {"seed": -1, "count": 5}),
+    (lambda G: commutator_expansion_check(G, count=-1),
+     {"seed": 0, "count": -1}),
+])
+def test_seeded_checks_refuse_negative_seeds_and_counts(sym3, call, details):
+    """numpy's rng raised a bare ValueError on a negative seed."""
+    with pytest.raises(InputError) as e:
+        call(sym3)
+    assert e.value.code == "invalid_parameters"
+    assert e.value.details == details
+
+
 # -- solvable-factor covering certificate
 
 
