@@ -451,6 +451,18 @@ class _CayleyTree:
     def row(self, a: int) -> np.ndarray:
         return self._walk(a, self._flat_right)
 
+    def rows(self, starts: np.ndarray) -> np.ndarray:
+        """row(a) for each a in ``starts``, one per line: the walk of
+        :meth:`_walk` on one column per start, a gather per layer for all."""
+        if self._thin is not None:
+            return np.array([self.row(a) for a in starts.tolist()],
+                            dtype=np.int64).reshape(len(starts), -1)
+        w = np.empty((self.right.shape[1], len(starts)), dtype=np.int64)
+        w[0] = starts
+        for lo, hi, parent, offset in self._steps:
+            w[lo:hi] = self._flat_right[offset[:, None] + w[parent]]
+        return w.T
+
     def inverses(self) -> np.ndarray:
         # x·g_k = e exactly at x = g_k^-1, the only 0 in the table of g_k
         lefts = [self.row(int(g)) for g in self.right.argmin(axis=1)]
@@ -539,6 +551,12 @@ class FiniteGroup:
         if r is None:
             r = self._rows[a] = self._tree.row(a)
         return r
+
+    def rows(self, elements: np.ndarray) -> np.ndarray:
+        """Cayley rows of several elements, one per line, walked together
+        and not cached: a caller that needs every row needs them one batch
+        at a time, not |G|^2 int64s at once."""
+        return self._tree.rows(elements)
 
     def _conjugations(self) -> np.ndarray:
         """conj[k, x] = g_k^-1 x g_k for the k-th generator form, from the tables."""

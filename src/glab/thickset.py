@@ -20,7 +20,13 @@ would be without it.  The P-free graph is a Cayley graph, on which left
 translation acts transitively, so the clique search starts from vertex 0;
 it also cuts with a greedy-colouring bound (Tomita and Seki, MCQ, 2003).
 Right translation maps covers to covers of the same size, so the cover
-search tries a single translator at its root.
+search tries a single translator at its root.  For a normal set,
+conjugation fixes e and maps the graph and the covers through e to
+themselves, so each search tries one vertex or translator per conjugacy
+class on its first level below e (orbit pruning at one level, after
+McKay and Piperno, 2014); it only skips branches whose image under a
+conjugation was searched before, so no witness changes.  The cover
+search takes its last translate from one AND of bitmasks.
 """
 
 from __future__ import annotations
@@ -35,12 +41,14 @@ from .groupcore import (
     FiniteGroup,
     ball_mask,
     is_subgroup_mask,
+    is_normal_mask,
     is_symmetric_mask,
     power_walk,
     quotient_projection,
 )
 
 EXACT_CLIQUE_CAP = 5000
+ROW_BATCH = 1 << 18  # Cayley-row entries walked at once, 2 MB of int64
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +77,8 @@ def _colour_bound(adj: list[int], cand: int, room: int) -> int:
     return colours
 
 
-def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
+def _max_clique(adj: list[int], cap: int | None = None,
+                orbit: list[int] | None = None) -> list[int]:
     """Maximum clique of a Cayley graph, lex-least among the maximum ones.
 
     Binary branching on the lowest candidate vertex, include-branch first;
@@ -89,6 +98,18 @@ def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
     clique length it resumes from and its candidates, so the depth is not
     bounded by the recursion limit; an exclude-branch that the incumbent
     already cuts is not stacked at all.
+
+    ``orbit[v]``, when given, is the bitmask of v's orbit under a group of
+    automorphisms fixing 0 (for a normal connection set: conjugation, and
+    v's conjugacy class).  Then the exclude-branch after v at the clique
+    [0] drops v's whole orbit: a clique through 0 and an image w of v that
+    avoids the orbits dropped before is the image of one of the same size
+    through 0 and v that avoids them too, which v's include-branch has
+    searched.  So the dropped cliques cannot strictly beat the incumbent,
+    the cliques recorded are those recorded without the cut, and the
+    lex-least maximum, the ``cap`` stops and the first clique are kept.
+    Deeper down the automorphisms no longer fix the clique, and the cut
+    is not made.
     """
     best: list[int] = []
     cur = [0]
@@ -101,9 +122,10 @@ def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
         if size > room and _colour_bound(adj, cand, room) > room:
             if cand:
                 low = cand & -cand
-                if size - 1 > room:
-                    stack.append((k, cand ^ low))
                 v = low.bit_length() - 1
+                rest = cand & ~orbit[v] if orbit and k == 1 else cand ^ low
+                if rest.bit_count() > room:
+                    stack.append((k, rest))
                 cur.append(v)
                 cand &= adj[v]
                 continue
@@ -118,15 +140,29 @@ def _max_clique(adj: list[int], cap: int | None = None) -> list[int]:
 def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> list[int]:
     """Sorted largest set of elements whose quotients a^-1 b all lie in M.
 
-    Builds the Cayley-graph adjacency "a^-1 b in M", searches it up to
-    ``cap`` and asserts the defining property on the returned witness.
+    Builds the Cayley-graph adjacency "a^-1 b in M" from uncached rows,
+    ``ROW_BATCH`` entries at a time, searches it up to ``cap`` and
+    asserts the defining property on the returned witness.  When M is
+    normal, conjugation fixes e and preserves the graph, so the search
+    gets the conjugacy classes as its orbits.
     """
+    inv = G.inverses()
     adj = []
-    for a in range(G.order):
-        inside = M[G.row(G.inv(a))]  # inside[b] = (a^-1 b in M)
-        inside[a] = False
-        adj.append(_pack_bits(inside))
-    witness = sorted(_max_clique(adj, cap))
+    step = max(1, ROW_BATCH // G.order)
+    for lo in range(0, G.order, step):
+        a = np.arange(lo, min(lo + step, G.order))
+        inside = M[G.rows(inv[a])]  # inside[i, b] = (a_i^-1 b in M)
+        inside[np.arange(len(a)), a] = False
+        packed = np.packbits(inside, axis=1, bitorder="little")
+        adj += [int.from_bytes(line.tobytes(), "little") for line in packed]
+    orbit = None
+    if is_normal_mask(G, M):
+        cid, reps = G.conjugacy_classes()
+        classes = [0] * len(reps)
+        for v, c in enumerate(cid.tolist()):
+            classes[c] |= 1 << v
+        orbit = [classes[c] for c in cid.tolist()]
+    witness = sorted(_max_clique(adj, cap, orbit))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
             assert M[G.mul(G.inv(a), b)]
@@ -290,11 +326,23 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     Exact minimum cover: iterative deepening starting from the counting
     bound ceil(|G| / |P|); branching always on the lowest-index uncovered
     element, candidate translators in index order, so the reported
-    translator tuple is canonical.  At the root only the first translator
-    covering e is tried: right translation by g^-1 g' maps a cover that
-    contains g to one of the same size that contains g', so when the first
-    root branch has no cover within the limit, no branch has, and when it
-    has one, the search order finds it there first.
+    translator tuple is canonical.  Three cuts use the group's symmetry or
+    the search order and keep that tuple:
+
+    * At the root only the first translator covering e is tried: right
+      translation by g^-1 g' maps a cover that contains g to one of the
+      same size that contains g', so when the first root branch has no
+      cover within the limit, no branch has, and when it has one, the
+      search order finds it there first.
+    * For a normal P with e in P that first translator is e, and
+      conjugation fixes e and maps P*g to P*g^h, so covers through e and g
+      to covers of the same size through e and g^h.  Depth 1 therefore
+      tries only the first candidate of each conjugacy class: a later
+      conjugate is reached only after an earlier one failed, and fails too.
+    * The last translate must cover everything left, so below the root at
+      depth limit - 1 the translators covering each uncovered element are
+      ANDed as bitmasks; the lowest bit left is the first candidate the
+      loop over them would accept, and none is tried when the AND is 0.
     """
     p_idx = [int(x) for x in np.nonzero(P)[0]]
     if not p_idx:
@@ -309,24 +357,47 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     covering = np.stack([G.row(int(inv[a])) for a in p_idx])
     covering.sort(axis=0)
     full = (1 << n) - 1
+    cid = G.conjugacy_classes()[0] if P[0] and is_normal_mask(G, P) else None
+
+    def bits(indices: np.ndarray) -> int:
+        hit = np.zeros(n, dtype=bool)
+        hit[indices] = True
+        return _pack_bits(hit)
 
     @functools.cache
     def translate(g: int) -> int:
         """The translate P*g as a bitmask."""
-        hit = np.zeros(n, dtype=bool)
-        hit[right[:, g]] = True
-        return _pack_bits(hit)
+        return bits(right[:, g])
 
-    def translators_covering(x: int) -> list[int]:
-        return covering[:, x].tolist()
+    @functools.cache
+    def covered_by(x: int) -> int:
+        """The translators g with x in P*g as a bitmask."""
+        return bits(covering[:, x])
+
+    def candidates(x: int, depth: int) -> list[int]:
+        gs = covering[:, x]
+        if depth == 0:
+            return gs[:1].tolist()
+        if depth == 1 and cid is not None:
+            _, first = np.unique(cid[gs], return_index=True)
+            return gs[np.sort(first)].tolist()
+        return gs.tolist()
+
+    def last_translate(uncovered: int) -> int | None:
+        """The lowest g with P*g covering ``uncovered``, if any."""
+        common = -1
+        while uncovered and common:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            common &= covered_by(low.bit_length() - 1)
+        return (common & -common).bit_length() - 1 if common else None
 
     def cover(limit: int) -> list[int] | None:
         """First cover by at most ``limit`` translates in search order.
 
         Depth-first without recursion: each open node is a stack frame
         (uncovered, iterator over its remaining candidate translators),
-        and ``chosen[i]`` is the candidate taken at frame i.  The root
-        frame holds the first candidate only.
+        and ``chosen[i]`` is the candidate taken at frame i.
         """
         chosen: list[int] = []
         stack: list[tuple] = []
@@ -334,9 +405,13 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
         while uncovered:
             depth = len(chosen)
             if depth < limit and (limit - depth) * len(p_idx) >= uncovered.bit_count():
-                x = (uncovered & -uncovered).bit_length() - 1
-                gs = translators_covering(x)
-                stack.append((uncovered, iter(gs if depth else gs[:1])))
+                if depth and depth == limit - 1:
+                    g = last_translate(uncovered)
+                    if g is not None:
+                        return chosen + [g]
+                else:
+                    x = (uncovered & -uncovered).bit_length() - 1
+                    stack.append((uncovered, iter(candidates(x, depth))))
             while stack:
                 parent, rest = stack[-1]
                 g = next(rest, None)

@@ -1,11 +1,12 @@
 """Thick sets: thickness, Ramsey intersections, genericity, class balls."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import glab.thickset as thickset
 from glab.errors import CapExceeded, InputError
@@ -340,6 +341,197 @@ def test_heavy_normal_sets_frozen(hang_guard, spec, reps, thick, gen):
         P |= C | inverse_mask(G, C)
     assert thickness(G, P) == thick
     assert genericity(G, P) == gen
+
+
+# sets that finish only since the searches cut by conjugacy classes; the
+# Alt(6) thickness took one to two and a half minutes without the cuts,
+# and its cover search does not finish in minutes
+NEW_HEAVY_SETS = [
+    ("Sym(5)", "(1,2,3)",
+     {"value": 21, "witness": [0, 1, 2, 3, 5, 8, 10, 16, 17, 27, 73, 74, 88,
+                               92, 96, 106, 108, 113, 114, 117],
+      "status": "exact"},
+     {"m": 8, "translators": [0, 1, 47, 31, 11, 106, 92, 115]}),
+    ("Alt(6)", "(1,2,3)",
+     {"value": 61,
+      "witness": [0, 1, 3, 8, 16, 24, 37, 47, 67, 73, 82, 97, 102, 108, 110,
+                  118, 119, 124, 132, 138, 140, 155, 159, 170, 173, 174, 178,
+                  180, 182, 189, 195, 200, 208, 213, 215, 231, 240, 243, 244,
+                  246, 247, 267, 278, 286, 305, 311, 314, 320, 325, 333, 339,
+                  343, 344, 345, 346, 349, 354, 355, 357, 358],
+      "status": "exact"},
+     None),
+]
+
+
+@pytest.mark.parametrize("spec,rep,thick,gen", NEW_HEAVY_SETS)
+def test_new_heavy_normal_sets_frozen(hang_guard, spec, rep, thick, gen):
+    """e with the class of a 3-cycle; witness and cover replayed over
+    form-level products."""
+    G = _group(spec)
+    P = G.class_mask(0) | G.class_mask(parse_element(G, rep))
+    assert thickness(G, P) == thick
+    w = thick["witness"]
+    for i, a in enumerate(w):
+        for b in w[i + 1:]:
+            assert not P[G.mul(G.inv(a), b)]
+    if gen is not None:
+        assert genericity(G, P) == gen
+        covered = {G.mul(int(a), g) for g in gen["translators"]
+                   for a in np.nonzero(P)[0]}
+        assert len(covered) == G.order
+
+
+def test_thickness_caches_no_rows():
+    """The clique search walks the Cayley rows it needs in batches and keeps
+    none: on Sym(7), 5,040 cached rows would take 203 MB."""
+    G = build_group(parse_group_spec("Sym(7)"))
+    P = ~(G.class_mask(parse_element(G, "(1,2)"))
+          | G.class_mask(parse_element(G, "(2,4,6)(3,5,7)")))
+    assert thickness(G, P)["value"] == 3
+    assert G._rows == {}
+
+
+# -- the class cuts against copies of the searches without them
+
+
+def _classless_max_clique(adj, cap=None):
+    """The clique search before it cut by conjugacy classes: from vertex 0,
+    with the candidate count and the colouring bound."""
+    best, cur, stack = [], [0], []
+    cand = adj[0]
+    while cap is None or len(best) < cap:
+        k = len(cur)
+        room = len(best) - k
+        size = cand.bit_count()
+        if size > room and thickset._colour_bound(adj, cand, room) > room:
+            if cand:
+                low = cand & -cand
+                if size - 1 > room:
+                    stack.append((k, cand ^ low))
+                v = low.bit_length() - 1
+                cur.append(v)
+                cand &= adj[v]
+                continue
+            best = cur.copy()
+        if not stack:
+            break
+        k, cand = stack.pop()
+        del cur[k:]
+    return sorted(best)
+
+
+def _classless_cover(G, P):
+    """The cover search before the class cut and the last-translate AND:
+    one translator at the root, every candidate tried below it."""
+    p = [int(a) for a in np.nonzero(P)[0]]
+    n = G.order
+    inv = G.inverses()
+    right = np.stack([G.row(a) for a in p])
+    covering = np.sort(np.stack([G.row(int(inv[a])) for a in p]), axis=0)
+    translate = [_bits(np.isin(np.arange(n), right[:, g])) for g in range(n)]
+    full = (1 << n) - 1
+
+    def cover(limit):
+        chosen, stack, uncovered = [], [], full
+        while uncovered:
+            depth = len(chosen)
+            if depth < limit and (limit - depth) * len(p) >= uncovered.bit_count():
+                x = (uncovered & -uncovered).bit_length() - 1
+                gs = covering[:, x].tolist()
+                stack.append((uncovered, iter(gs if depth else gs[:1])))
+            while stack:
+                parent, rest = stack[-1]
+                g = next(rest, None)
+                if g is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+            del chosen[len(stack) - 1:]
+            chosen.append(g)
+            uncovered = parent & ~translate[g]
+        return chosen
+
+    for m in range(-(-n // len(p)), n + 1):
+        got = cover(m)
+        if got is not None:
+            return {"m": m, "translators": got}
+
+
+def _symmetrized_classes(G):
+    """The classes of G other than {e}, each joined with its inverse class,
+    without repeats, in the order of their least elements."""
+    cid, reps = G.conjugacy_classes()
+    out = []
+    for r in reps[1:]:
+        C = G.class_mask(r)
+        C = C | inverse_mask(G, C)
+        if not any((C == D).all() for D in out):
+            out.append(C)
+    return out
+
+
+# sets e + classes, by indices into _symmetrized_classes, on which a copy
+# without the class cuts takes more than half a second (most of them
+# seconds, and four of the covers more than 30 s)
+CLASSLESS_TOO_SLOW = {
+    "clique": {("Sym(5)", (4,)), ("Sym(5)", (0, 4))},
+    "cover": {("Sym(5)", combo) for combo in [
+        (0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (0, 2), (0, 3), (1, 3),
+        (1, 4), (1, 5), (3, 4), (4, 5)]},
+}
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUPS + ("Alt(5)", "Sym(5)"))
+def test_class_cuts_keep_witnesses_and_translators(hang_guard, spec):
+    """Every set e + one or two symmetrized classes: the same witness as
+    the clique search and the same translators as the cover search that
+    do not cut by classes."""
+    G = _group(spec)
+    classes = _symmetrized_classes(G)
+    for k in (1, 2):
+        for combo in itertools.combinations(range(len(classes)), k):
+            P = G.class_mask(0) | functools.reduce(
+                np.logical_or, [classes[i] for i in combo])
+            if (spec, combo) not in CLASSLESS_TOO_SLOW["clique"]:
+                assert thickness(G, P)["witness"] == \
+                    _classless_max_clique(_free_adjacency(G, P))
+            if (spec, combo) not in CLASSLESS_TOO_SLOW["cover"]:
+                assert genericity(G, P) == _classless_cover(G, P)
+
+
+@given(st.sampled_from(SMALL_GROUPS + ("Alt(5)",)),
+       st.sets(st.integers(0, 10), min_size=1))
+# trying one candidate per class at depth 1 would lose the first cover of
+# {[e|1], [e|2]} with the class of [(1,2)|0], and of the elements of order
+# 2 and 5 in Alt(5)
+@example("Prod(Sym(3),Cyc(4))", {0, 1, 3})
+@example("Alt(5)", {1, 2, 3})
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_cover_of_a_normal_set_without_identity(spec, picked):
+    """Unions of classes other than {e}: the root translator is not e and
+    conjugation does not fix it, so depth 1 tries every candidate."""
+    G = _group(spec)
+    reps = G.conjugacy_classes()[1][1:]
+    P = functools.reduce(np.logical_or,
+                         [G.class_mask(reps[i % len(reps)]) for i in picked])
+    assert genericity(G, P) == _classless_cover(G, P)
+
+
+@given(st.sampled_from(SMALL_GROUPS + ("Alt(5)", "Sym(5)")), st.data(),
+       st.integers(1, 12))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_spread_length_on_normal_sets_keeps_the_capped_clique(spec, data, cap):
+    G = _group(spec)
+    classes = _symmetrized_classes(G)
+    picked = data.draw(st.lists(st.sampled_from(range(len(classes))),
+                                min_size=1, max_size=2, unique=True))
+    S = functools.reduce(np.logical_or, [classes[i] for i in picked])
+    got = spread_length(G, S, cap=cap)
+    want = _classless_max_clique(_free_adjacency(G, ~S), cap)
+    assert got["witness"] == want[:cap]
+    assert got["value"] == min(len(want), cap)
 
 
 # -- Ramsey table and its checkers
