@@ -33,10 +33,10 @@ from .groupcore import (
     FiniteGroup,
     SLSpec,
     check_order,
+    class_walk,
     mat_identity,
     mat_inverse,
     mat_mul,
-    power_walk,
     product_mask,
     require_prime,
 )
@@ -498,8 +498,11 @@ def class_cube(G: FiniteGroup, t: int) -> dict:
     C2 = product_mask(G, C, C)
     C3 = product_mask(G, C2, C)
     # the walk stops before a repeat, so None means C^k never covers G
-    min_power = next((k for k, cur in enumerate(power_walk(G, C, C), start=1)
-                      if cur.all()), None)
+    cid, reps = G.conjugacy_classes()
+    cls = np.arange(len(reps)) == cid[t]
+    walk = class_walk(G, cls, cls)
+    min_power = next((k for k, cur in enumerate(walk, start=1) if cur.all()),
+                     None)
     return {
         "class_size": int(C.sum()),
         "square_covers_complement": bool((C2 | G.center_mask()).all()),

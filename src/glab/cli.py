@@ -360,12 +360,18 @@ def _run_ext_iwasawa(a) -> dict:
 
 def _int_option(text: str) -> int:
     """An integer option, read like every integer of spec text: ASCII
-    digits after an optional '-'."""
+    digits after an optional '-'.
+
+    A bad value raises an ``InputError``, which argparse passes through
+    (it turns only its own type errors into usage text), so ``main``
+    reports it like any other bad input.
+    """
     try:
         return _integer(text)
     except SpecSyntaxError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
+        raise InputError("invalid_parameters",
+                         f"expected an integer, got {text!r}",
+                         value=text) from None
 
 
 @functools.cache
@@ -498,11 +504,14 @@ def main(argv=None) -> int:
     """Run one task and print its report; return the exit code.
 
     The parser is built by the first call in a process, not at import,
-    and every later call reuses it.
+    and every later call reuses it.  ``--help``, ``--version`` and usage
+    errors exit from argparse; a bad integer option gets an error report.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         results = _clean(globals()[args.handler](args))
     except Exception as e:
         if isinstance(e, ToolkitError):
@@ -516,7 +525,9 @@ def main(argv=None) -> int:
         payload = {
             "schema_version": 1,
             "version": __version__,
-            "task": getattr(args, "task", args.area),
+            # a bad integer option stops the parse after the area and
+            # the task, whose names make up the task's name
+            "task": args.task if args is not None else ".".join(argv[:2]),
             "error": error,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -27,10 +27,12 @@ Subsets of a group are plain ``numpy`` boolean arrays over element indices.
 Their algebra (:func:`inverse_mask`, :func:`product_mask`, subgroup and
 normal closures through one closure loop, :func:`is_subgroup_mask`,
 :func:`is_normal_mask`, commutators, quotient cosets as orbits) uses only
-rows, the inverse array and class ids.  A product of two unions of
-conjugacy classes is one too, and :func:`product_mask` forms it from one
-row per class of the left factor, so the walks of class balls, class
-powers and covering numbers build a few dozen rows, not one per element.
+rows, the inverse array and class ids.  A union of conjugacy classes is
+also a class vector, one boolean per class, and a product of two such
+unions is one too.  :func:`class_walk` takes the powers of class vectors
+from :meth:`FiniteGroup.class_table`, the support of the class-algebra
+structure constants, so the walks of class balls, class powers and
+covering numbers cost c booleans a step and cache no Cayley row.
 
 Group specs, element texts and the CLI's subset expressions share three
 readers: a bracket splitter (at most ``MAX_NESTING`` deep, so no input
@@ -50,6 +52,10 @@ import numpy as np
 from .errors import CapExceeded, InputError, SpecSyntaxError
 
 DEFAULT_ORDER_CAP = 100_000
+ROW_BATCH = 1 << 18  # Cayley-row entries walked at once, 2 MB of int64
+# a group with c classes takes the c^3-byte class table when c^2 <= this
+# times |G|: then the table is no larger than c cached int64 Cayley rows
+CLASS_TABLE_FACTOR = 8
 
 
 # --------------------------------------------------------------------------
@@ -496,6 +502,7 @@ class FiniteGroup:
         self._conj: np.ndarray | None = None
         self._rows: dict[int, np.ndarray] = {}
         self._classes = None
+        self._class_table: np.ndarray | None = None
         self._center: np.ndarray | None = None
         self._derived: np.ndarray | None = None
 
@@ -574,6 +581,25 @@ class FiniteGroup:
             reps = np.flatnonzero(label == np.arange(self.order))
             self._classes = (np.searchsorted(reps, label), reps.tolist())
         return self._classes
+
+    def class_table(self) -> np.ndarray:
+        """T[i, j, k] = class k meets C_i·C_j, over the classes of
+        :meth:`conjugacy_classes`, cached.
+
+        C_i·C_j is a union of classes, and class k meets it iff it meets
+        r_i·C_j for the representative r_i: c·b = g·(r_i·b^g)·g^-1 for
+        c = g·r_i·g^-1.  So one uncached row per representative fills T;
+        the rows are walked ``ROW_BATCH`` entries at a time.
+        """
+        if self._class_table is None:
+            cid, reps = self.conjugacy_classes()
+            T = np.zeros((len(reps),) * 3, dtype=bool)
+            step = max(1, ROW_BATCH // self.order)
+            for lo in range(0, len(reps), step):
+                i = np.arange(lo, min(lo + step, len(reps)))
+                T[i[:, None], cid, cid[self.rows(np.asarray(reps)[i])]] = True
+            self._class_table = T
+        return self._class_table
 
     def class_mask(self, a: int) -> np.ndarray:
         cid, _ = self.conjugacy_classes()
@@ -709,11 +735,10 @@ def inverse_mask(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
 
 
 def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
-    """{a*b : a in A, b in B} as a mask, from cached Cayley rows.
+    """{a*b : a in A, b in B} as a mask.
 
-    When A and B are unions of classes, so is A·B: for a = g·r·g^-1 the
-    set a·B = g·(r·B)·g^-1, so A·B is the union of the classes that meet
-    r·B, one row per class representative r in A.  Other sets take one
+    When A and B are unions of classes, so is A·B, which takes one step of
+    :func:`class_walk` on their class vectors.  Other sets take one cached
     row per element of A.
     """
     b_idx = np.flatnonzero(b_mask)
@@ -721,30 +746,67 @@ def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.n
         return np.zeros(G.order, dtype=bool)
     if is_normal_mask(G, a_mask) and is_normal_mask(G, b_mask):
         cid, reps = G.conjugacy_classes()
-        hit = np.zeros(len(reps), dtype=bool)
-        for r in reps:
-            if a_mask[r]:
-                hit[cid[G.row(r)[b_idx]]] = True
-        return hit[cid]
+        return _class_step(G, b_mask[reps])(a_mask[reps])[cid]
     out = np.zeros(G.order, dtype=bool)
     for a in np.flatnonzero(a_mask).tolist():
         out[G.row(a)[b_idx]] = True
     return out
 
 
+def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
+    """The map a ↦ a·s on class vectors, for the class vector s.
+
+    A group with c^2 <= CLASS_TABLE_FACTOR·|G| takes it from its class
+    table: M[i, k] = class k meets C_i·S, and a·s is the union of the
+    rows M[i] over the classes i of a.  A larger group (an abelian one has
+    c = |G|) builds no table and takes one cached row per class of a at
+    every step, r_i·S meeting the same classes as C_i·S.
+    """
+    cid, reps = G.conjugacy_classes()
+    if len(reps) ** 2 <= CLASS_TABLE_FACTOR * G.order:
+        M = G.class_table()[:, s].any(axis=1)
+        return lambda a: M[a].any(axis=0)
+    b_idx = np.flatnonzero(s[cid])
+
+    def step(a):
+        hit = np.zeros(len(reps), dtype=bool)
+        for i in np.flatnonzero(a).tolist():
+            hit[cid[G.row(reps[i])[b_idx]]] = True
+        return hit
+    return step
+
+
+def _walk(cur: np.ndarray, step: Callable):
+    """Yield cur, step(cur), step(step(cur)), ... and stop just before the
+    first repeat; each next value is only computed when asked for."""
+    seen: set[bytes] = set()
+    while (key := cur.tobytes()) not in seen:
+        seen.add(key)
+        yield cur
+        cur = step(cur)
+
+
+def class_walk(G: FiniteGroup, a: np.ndarray, s: np.ndarray):
+    """Yield the class vectors a, a·s, a·s², ... and stop just before the
+    first repeat, as :func:`power_walk` does for masks.
+
+    A class vector has one boolean per class of ``G.conjugacy_classes()``;
+    the union of classes it names is ``vector[cid]``.
+    """
+    return _walk(np.array(a, dtype=bool), _class_step(G, s))
+
+
 def power_walk(G: FiniteGroup, a_mask: np.ndarray, s_mask: np.ndarray):
     """Yield A, A·S, A·S², ... and stop just before the first repeated mask.
 
     The masks of a walk are eventually periodic, so the walk is finite; a
-    caller stops it earlier with its own test or cap.  Each next mask is
-    only computed when asked for.
+    caller stops it earlier with its own test or cap.  When A and S are
+    unions of classes the walk is :func:`class_walk` on their class vectors.
     """
-    seen: set[bytes] = set()
-    cur = a_mask.copy()
-    while (key := cur.tobytes()) not in seen:
-        seen.add(key)
-        yield cur
-        cur = product_mask(G, cur, s_mask)
+    if is_normal_mask(G, a_mask) and is_normal_mask(G, s_mask):
+        cid, reps = G.conjugacy_classes()
+        return (cur[cid] for cur in class_walk(G, a_mask[reps], s_mask[reps]))
+    return _walk(a_mask.copy(), lambda cur: product_mask(G, cur, s_mask))
 
 
 def ball_mask(G: FiniteGroup, mask: np.ndarray, n: int) -> np.ndarray:
@@ -788,7 +850,7 @@ def is_symmetric_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
 def is_normal_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
     """Is the set a union of conjugacy classes?"""
     cid, reps = G.conjugacy_classes()
-    return bool((mask == mask[np.asarray(reps)[cid]]).all())
+    return bool((mask == mask[reps][cid]).all())
 
 
 def quotient_projection(Q: FiniteGroup) -> np.ndarray:

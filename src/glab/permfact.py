@@ -29,12 +29,12 @@ from .groupcore import (
     SymSpec,
     _cycles_of,
     _require,
+    class_walk,
     is_normal_mask,
     is_symmetric_mask,
     perm_compose,
     perm_inverse,
     perm_to_text,
-    power_walk,
 )
 from .thickset import _quotient_clique
 
@@ -378,10 +378,11 @@ def class_word_distance(G: FiniteGroup, sigma: int, tau: int,
         return {"k": 0}
     if cap is None:
         cap = G.order
-    C = G.class_mask(sigma)
-    for k, cur in enumerate(power_walk(G, C, C), start=1):
+    cid, reps = G.conjugacy_classes()
+    C = np.arange(len(reps)) == cid[sigma]
+    for k, cur in enumerate(class_walk(G, C, C), start=1):
         if k > cap:
             break
-        if cur[tau]:
+        if cur[cid[tau]]:
             return {"k": k}
     return {"k": None}

@@ -38,8 +38,9 @@ import numpy as np
 
 from .errors import CapExceeded, InputError, PropertyFailure
 from .groupcore import (
+    ROW_BATCH,
     FiniteGroup,
-    ball_mask,
+    class_walk,
     is_subgroup_mask,
     is_normal_mask,
     is_symmetric_mask,
@@ -48,7 +49,6 @@ from .groupcore import (
 )
 
 EXACT_CLIQUE_CAP = 5000
-ROW_BATCH = 1 << 18  # Cayley-row entries walked at once, 2 MB of int64
 
 
 # --------------------------------------------------------------------------
@@ -549,9 +549,12 @@ def power_cover(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     return {"n": None, "cycle": True, "closure_order": int(closure.sum())}
 
 
-def conjugation_ball_source(G: FiniteGroup, g: int) -> np.ndarray:
-    """cl(g) union cl(g^-1) as a mask."""
-    return G.class_mask(g) | G.class_mask(G.inv(g))
+def _ball_source(G: FiniteGroup, g: int) -> np.ndarray:
+    """cl(g) union cl(g^-1) as a class vector."""
+    cid, reps = G.conjugacy_classes()
+    source = np.zeros(len(reps), dtype=bool)
+    source[[cid[g], cid[G.inv(g)]]] = True
+    return source
 
 
 def gn_set(G: FiniteGroup, N: int) -> np.ndarray:
@@ -559,23 +562,29 @@ def gn_set(G: FiniteGroup, N: int) -> np.ndarray:
 
     g qualifies iff (cl(g) ∪ cl(g^-1))^{<=N} = G with the 0-ball = {e}.
     Constant on classes and inverse-closed, so evaluated once per
-    class-inverse pair.
+    class-inverse pair, on class vectors.
     """
     if N < 0:
         raise InputError("invalid_parameters", "ball radius must be >= 0")
     cid, reps = G.conjugacy_classes()
-    out = np.zeros(G.order, dtype=bool)
-    done: set[int] = set()
-    for r in reps:
-        if int(cid[r]) in done:
+    e = np.arange(len(reps)) == 0  # the class of the identity
+    out = np.zeros(len(reps), dtype=bool)
+    done = np.zeros(len(reps), dtype=bool)
+    for i, r in enumerate(reps):
+        if done[i]:
             continue
-        source = conjugation_ball_source(G, r)
-        done |= {int(cid[r]), int(cid[G.inv(r)])}
-        if ball_mask(G, source, N).all():
+        source = _ball_source(G, r)
+        done |= source
+        # the N-ball is the walk from {e} with step source ∪ {e}, N steps
+        # or until it stops growing
+        for k, ball in enumerate(class_walk(G, e, source | e)):
+            if k >= N:
+                break
+        if ball.all():
             # the class and its inverse class share the source set, so they
             # qualify together
             out |= source
-    return out
+    return out[cid]
 
 
 def gn_product_check(G: FiniteGroup, H: FiniteGroup, product: FiniteGroup,
@@ -639,9 +648,9 @@ def bounded_simplicity_degree(G: FiniteGroup, cap: int | None = None) -> dict:
         if center[r]:
             continue
         # the n-ball is (source ∪ {e})^n
-        step = conjugation_ball_source(G, r)
+        step = _ball_source(G, r)
         step[0] = True
-        for n, cur in enumerate(power_walk(G, step, step), start=1):
+        for n, cur in enumerate(class_walk(G, step, step), start=1):
             if n > cap:
                 raise CapExceeded("search_exhausted",
                                   f"ball radius exceeded {cap}", cap=cap)
@@ -649,7 +658,7 @@ def bounded_simplicity_degree(G: FiniteGroup, cap: int | None = None) -> dict:
                 break
         else:
             return {"value": None, "witness": int(r),
-                    "stabilized_order": int(cur.sum())}
+                    "stabilized_order": int(np.bincount(cid)[cur].sum())}
         per_class.append({"rep": int(r), "radius": n})
         worst = max(worst, n)
     return {"value": worst, "witness": None, "per_class": per_class}
@@ -670,9 +679,9 @@ def covering_number(G: FiniteGroup) -> dict:
                              f"class of element {r} generates a proper normal subgroup")
     worst = 0
     per_class = []
-    for r in reps[1:]:
-        C = G.class_mask(r)
-        for n, cur in enumerate(power_walk(G, C, C), start=1):
+    for i, r in enumerate(reps[1:], start=1):
+        C = np.arange(len(reps)) == i
+        for n, cur in enumerate(class_walk(G, C, C), start=1):
             if cur.all():
                 break
         else:

@@ -673,11 +673,33 @@ def test_ext_order_with_thousands_of_digits(capsys):
 @pytest.mark.parametrize("value", ["\u0661\u0662", "1_0", "+5", "5x", ""])
 def test_integer_options_are_ascii_digits(capsys, value):
     """Integer options are read like the integers inside spec text."""
-    with pytest.raises(SystemExit) as e:
-        main(["perm", "distance", "--group", "Sym(4)", "--sigma", "(1,2)",
-              "--tau", "(1,2,3)", "--cap", value])
-    assert e.value.code == 2
-    assert "expected an integer" in capsys.readouterr().err
+    code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(4)",
+                        "--sigma", "(1,2)", "--tau", "(1,2,3)", "--cap", value)
+    assert code == 2
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert "expected an integer" in rep["error"]["message"]
+    assert rep["error"]["details"] == {"value": value}
+
+
+def test_bad_integer_option_gets_an_error_report(capsys):
+    """A bad integer option is a JSON error report with exit 2, not
+    argparse's usage text; --help and --version still exit from argparse."""
+    code = main(["chevalley", "verify-relations", "--rank", "x", "--p", "5"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert set(rep) == {"error", "schema_version", "task", "version"}
+    assert rep["task"] == "chevalley.verify-relations"
+    assert rep["error"]["code"] == "invalid_parameters"
+    assert rep["error"]["details"] == {"value": "x"}
+    for argv in (["--version"], ["chevalley", "verify-relations", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out
+    code, rep = run_cli(capsys, "chevalley", "verify-relations",
+                        "--rank", "1", "--p", "5")
+    assert code == 0 and rep["config"] == {"p": 5, "rank": 1}
 
 
 def test_exit_4_internal_error(capsys, monkeypatch):

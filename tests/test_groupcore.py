@@ -17,6 +17,7 @@ from glab.groupcore import (
     abelianization_invariants,
     ball_mask,
     build_group,
+    class_walk,
     commutator_width,
     derived_subgroup,
     element_text,
@@ -32,7 +33,9 @@ from glab.groupcore import (
     structure_report,
     surject_onto_prime_cyclic,
 )
-from glab.thickset import bounded_simplicity_degree
+from glab.chevalley import class_cube, regular_diagonals
+from glab.permfact import class_word_distance
+from glab.thickset import bounded_simplicity_degree, gn_set
 
 
 # -- enumeration is canonical: these orderings are load-bearing for witnesses
@@ -193,12 +196,14 @@ def _product_oracle(G, a_mask, b_mask):
 
 
 @pytest.mark.parametrize("spec", ["Alt(5)", "Sym(5)", "SL(2,7)", "Sym(6)",
-                                  "SL(3,3)"])
+                                  "SL(3,3)", "Cyc(12)", "Prod(Cyc(8),Sym(3))"])
 @given(data=st.data())
 @settings(derandomize=True, max_examples=8, deadline=None)
 def test_product_of_class_unions_matches_every_row(spec, data):
-    """Unions of classes take one row per class of A; the product must be
-    the union over every element of A."""
+    """Unions of classes take one class step, from the class table or (for
+    Cyc(12) and Prod(Cyc(8),Sym(3)), too many classes for one) from one
+    row per class of A; the product must be the union over every element
+    of A."""
     G = _group(spec)
     cid, reps = G.conjugacy_classes()
     classes = st.sets(st.integers(0, len(reps) - 1), max_size=4)
@@ -217,9 +222,51 @@ def test_product_of_a_non_normal_set_takes_every_row(sym4, monkeypatch):
         rows.clear()
         assert (product_mask(sym4, A, B) == _product_oracle(sym4, A, B)).all()
         assert rows == np.flatnonzero(A).tolist()
-    rows.clear()
-    product_mask(sym4, T, T)
-    assert len(rows) == 1  # one class, one representative
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "SL(2,5)", "Quot(SL(2,7),center)",
+                                  "Cyc(12)", "Prod(Cyc(8),Sym(3))"])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=8, deadline=None)
+def test_class_walk_matches_iterated_products(spec, data):
+    """class_walk and power_walk on unions of classes A and S: A, A·S,
+    A·S², ... from the element-level product, up to the first repeat."""
+    G = _group(spec)
+    cid, reps = G.conjugacy_classes()
+    classes = st.sets(st.integers(0, len(reps) - 1), max_size=4)
+    a = np.isin(np.arange(len(reps)), sorted(data.draw(classes)))
+    s = np.isin(np.arange(len(reps)), sorted(data.draw(classes)))
+    want, cur = [], a[cid]
+    while not any((cur == w).all() for w in want):
+        want.append(cur)
+        cur = _product_oracle(G, cur, s[cid])
+    walk = [v[cid] for v in class_walk(G, a, s)]
+    assert np.array_equal(walk, want)
+    assert np.array_equal(list(power_walk(G, a[cid], s[cid])), want)
+
+
+def test_class_walks_keep_memory_bounded():
+    """Cyc(1000) (c = |G|) and Prod(Cyc(8),Sym(3)) (c^2 = 12·|G|) have too
+    many classes for the c^3-byte class table and never build it; SL(2,11)
+    builds it from uncached rows and keeps no Cayley row."""
+    cyc = build_group(parse_group_spec("Cyc(1000)"))
+    assert class_word_distance(cyc, 1, 500)["k"] == 500
+    assert gn_set(cyc, 1).sum() == 0
+    prod = build_group(parse_group_spec("Prod(Cyc(8),Sym(3))"))
+    assert len(prod.conjugacy_classes()[1]) ** 2 > 8 * prod.order
+    assert bounded_simplicity_degree(prod)["value"] is None
+    assert gn_set(prod, 4).sum() == 0
+    assert cyc._class_table is None and prod._class_table is None
+    G = build_group(parse_group_spec("SL(2,11)"))
+    T = G.class_mask(1)
+    assert bounded_simplicity_degree(G)["value"] is not None
+    assert gn_set(G, 3).any()
+    assert class_word_distance(G, 1, G.order - 1)["k"] is not None
+    for m in regular_diagonals(2, 11):
+        assert class_cube(G, G.index[m])["cube_is_group"]
+    assert len(list(power_walk(G, T, T))) > 1
+    assert product_mask(G, T, T).any()
+    assert G._rows == {} and G._class_table is not None
 
 
 def test_bounded_simplicity_degree_builds_one_row_per_class(monkeypatch):
