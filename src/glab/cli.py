@@ -288,8 +288,13 @@ def _run_perm_express(a) -> dict:
     P = parse_subset(G, a.set)
     sigma = parse_element(G, a.sigma)
     r = pf.express_even(G, P, sigma, allow_fallback=not a.no_fallback)
-    q1f, q2f = G.elements[r["q1"]], G.elements[r["q2"]]
-    assert G.mul_form(q1f, q2f) == G.elements[sigma]
+    if G.mul_form(G.elements[r["q1"]],
+                  G.elements[r["q2"]]) != G.elements[sigma]:
+        raise PropertyFailure("search_exhausted",
+                              "the replayed factors do not multiply to sigma",
+                              q1=element_text(G, r["q1"]),
+                              q2=element_text(G, r["q2"]),
+                              sigma=element_text(G, sigma))
     return {
         "mode": r["mode"],
         "budget_guaranteed": r["budget_guaranteed"],

@@ -759,19 +759,30 @@ def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
     A group with c^2 <= CLASS_TABLE_FACTOR·|G| takes it from its class
     table: M[i, k] = class k meets C_i·S, and a·s is the union of the
     rows M[i] over the classes i of a.  A larger group (an abelian one has
-    c = |G|) builds no table and takes one cached row per class of a at
-    every step, r_i·S meeting the same classes as C_i·S.
+    c = |G|) builds no table and takes the classes of r_i·S, which meets
+    the same classes as C_i·S, over the representatives r_i of a: from one
+    cached row per r_i, or, when S has no more elements than a has
+    classes, from one cached right map per element b of S,
+    r·b = (b^-1·r^-1)^-1: a long walk then caches the |S| maps, not one
+    row per class it visits.
     """
     cid, reps = G.conjugacy_classes()
     if len(reps) ** 2 <= CLASS_TABLE_FACTOR * G.order:
         M = G.class_table()[:, s].any(axis=1)
         return lambda a: M[a].any(axis=0)
     b_idx = np.flatnonzero(s[cid])
+    inv, reps = G.inverses(), np.asarray(reps)
 
     def step(a):
         hit = np.zeros(len(reps), dtype=bool)
-        for i in np.flatnonzero(a).tolist():
-            hit[cid[G.row(reps[i])[b_idx]]] = True
+        r = reps[a]
+        if len(b_idx) <= len(r):
+            r = inv[r]
+            for b in inv[b_idx].tolist():
+                hit[cid[inv[G.row(b)[r]]]] = True
+        else:
+            for i in r.tolist():
+                hit[cid[G.row(i)[b_idx]]] = True
         return hit
     return step
 

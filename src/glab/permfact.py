@@ -18,7 +18,7 @@ large exhaustive sweeps with numpy, on the images of the instances' points.
 from __future__ import annotations
 
 import math
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
@@ -80,15 +80,10 @@ def cycle_quotient(n: int, x: int, a: tuple[int, ...], b: tuple[int, ...]) -> di
 
 def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
                 b: tuple[int, ...]) -> dict:
-    """(x,y,a) ∘ (x,y,b) = (x,a) ∘ (y,b) for odd-length lists a and b."""
-    lhs = _checked_merge(n, x, y, a, b)
-    return {"result": lhs, "text": perm_to_text(lhs)}
+    """(x,y,a) ∘ (x,y,b) = (x,a) ∘ (y,b) for odd-length lists a and b.
 
-
-def _checked_merge(n: int, x: int, y: int, a: tuple[int, ...],
-                   b: tuple[int, ...]) -> tuple[int, ...]:
-    """Both sides of the merge identity, form-level and checked equal; the
-    image tuple of the product."""
+    Both sides are built form-level and checked equal; returns the image
+    tuple of the product and its text."""
     if len(a) % 2 == 0 or len(b) % 2 == 0:
         raise InputError("even_length", "the merge identity needs odd lists",
                          len_a=len(a), len_b=len(b))
@@ -100,13 +95,13 @@ def _checked_merge(n: int, x: int, y: int, a: tuple[int, ...],
     if lhs != rhs:
         raise PropertyFailure("search_exhausted", "merge identity violated",
                               x=x, y=y, a=a, b=b)
-    return lhs
+    return {"result": lhs, "text": perm_to_text(lhs)}
 
 
 # --------------------------------------------------------------------------
 # the chunked instance kernel of the exhaustive scans
 
-CHUNK = 1 << 12
+CHUNK = 1 << 13
 """Instances per chunk, so that the arrays of a chunk stay in the cache."""
 
 
@@ -125,8 +120,11 @@ def _instance_chunks(n: int, fixed: tuple[int, ...], length: int):
     head = 0
     while math.perm(free - head, length - head) > CHUNK:
         head += 1
-    idx = np.array(list(permutations(range(free - head), length - head)),
-                   dtype=np.intp).T
+    tails = math.perm(free - head, length - head)
+    idx = np.fromiter(chain.from_iterable(permutations(range(free - head),
+                                                       length - head)),
+                      dtype=np.intp, count=tails * (length - head))
+    idx = idx.reshape(tails, length - head).T
     heads = (fixed + h for h in permutations(
         [p for p in range(n) if p not in fixed], head))
     width = len(fixed) + head
@@ -222,7 +220,10 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     shape are the injective tuples (x, y, shorter list, longer list) in
     lexicographic order.  Chunks of them are checked at once on the images
     of their own points under (x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b); a
-    violation reports the first bad instance in that order.
+    violation reports the first bad instance in that order.  The spot
+    checks draw their placements one by one and check the draws of a
+    shape at once on n-wide image rows; a violation reports the first bad
+    draw.
     """
     _require(min(seed, random_samples, full_cap_points) >= 0,
              "seed, sample count and full cap must be >= 0", seed=seed,
@@ -236,8 +237,11 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
         raise InputError("invalid_parameters",
                          "the merge identity needs shapes (la, lb) with "
                          "2 + la + lb <= n points", n=n, shapes=shapes)
-    report = {"n": n, "shapes": {}, "equivariance_checks": 0,
-              "random_checks": 0}
+    if any(min(la, lb) < 1 or la % 2 == 0 or lb % 2 == 0
+           for la, lb in shapes):
+        raise InputError("even_length", "the merge identity needs odd lists",
+                         shapes=shapes)
+    report = {"n": n, "shapes": {}}
 
     for la, lb in shapes:
         pts = 2 + la + lb
@@ -253,26 +257,95 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
 
     # conjugation-equivariance: relabeling by any sigma transports an
     # instance at (x,y,a,b) to the instance at the image points
-    for _ in range(200):
-        la, lb = shapes[rng.integers(len(shapes))]
-        pts = [int(v) for v in rng.permutation(n)[:2 + la + lb]]
-        x, y, a, b = pts[0], pts[1], tuple(pts[2:2 + la]), tuple(pts[2 + la:])
-        sigma = tuple(int(v) for v in rng.permutation(n))
-        inv = perm_inverse(sigma)
-        for cyc_pts in [(x, y) + a, (x, y) + b, (x,) + a, (y,) + b]:
-            c = cycle_perm(n, tuple(q + 1 for q in cyc_pts))
-            relabeled = cycle_perm(n, tuple(sigma[q] + 1 for q in cyc_pts))
-            assert perm_compose(sigma, perm_compose(c, inv)) == relabeled
-        report["equivariance_checks"] += 1
-
-    for _ in range(random_samples):
-        la, lb = shapes[rng.integers(len(shapes))]
-        pts = [int(v) for v in rng.permutation(n)[:2 + la + lb]]
-        _checked_merge(n, pts[0] + 1, pts[1] + 1,
-                       tuple(q + 1 for q in pts[2:2 + la]),
-                       tuple(q + 1 for q in pts[2 + la:]))
-        report["random_checks"] += 1
+    report["equivariance_checks"] = _spot_check(
+        n, shapes, [(rng.integers(len(shapes)), rng.permutation(n),
+                     rng.permutation(n)) for _ in range(200)],
+        _relabel_sides, "conjugation equivariance")
+    report["random_checks"] = _spot_check(
+        n, shapes, [(rng.integers(len(shapes)), rng.permutation(n))
+                    for _ in range(random_samples)],
+        _merge_sides, "merge identity")
     return report
+
+
+# --------------------------------------------------------------------------
+# the batched spot checks: permutations of range(n) as rows of (K, n) images
+
+
+def _cycles(n: int, points: np.ndarray) -> np.ndarray:
+    """The cycle (points[k]) as row k of images, for 0-based rows of
+    distinct points."""
+    images = np.tile(np.arange(n), (len(points), 1))
+    np.put_along_axis(images, points, np.roll(points, -1, axis=1), axis=1)
+    return images
+
+
+def _compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f ∘ g row by row: (f ∘ g)(x) = f(g(x))."""
+    return np.take_along_axis(f, g, axis=1)
+
+
+def _inverse(f: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(f)
+    np.put_along_axis(inv, f, np.broadcast_to(np.arange(f.shape[1]), f.shape),
+                      axis=1)
+    return inv
+
+
+def _merge_cycles(la: int, points: np.ndarray) -> list[np.ndarray]:
+    """The point rows of (x,y,a), (x,y,b), (x,a) and (y,b), for the rows
+    (x, y, a, b) of ``points`` with la points in a."""
+    x, y, a, b = np.hsplit(points, [1, 2, 2 + la])
+    return [np.hstack(c) for c in ((x, y, a), (x, y, b), (x, a), (y, b))]
+
+
+def _merge_sides(n: int, la: int, points: np.ndarray):
+    """(x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b) for each row (x, y, a, b)."""
+    xya, xyb, xa, yb = (_cycles(n, c) for c in _merge_cycles(la, points))
+    return _compose(xya, xyb), _compose(xa, yb)
+
+
+def _relabel_sides(n: int, la: int, points: np.ndarray, sigma: np.ndarray):
+    """sigma ∘ c ∘ sigma^-1 and the cycle through the sigma-images of c's
+    points, for each cycle c of the merge identity at the rows (x, y, a, b),
+    the four of a row side by side."""
+    inv = _inverse(sigma)
+    cycles = _merge_cycles(la, points)
+    return (np.hstack([_compose(sigma, _compose(_cycles(n, c), inv))
+                       for c in cycles]),
+            np.hstack([_cycles(n, _compose(sigma, c)) for c in cycles]))
+
+
+def _spot_check(n: int, shapes: list[tuple[int, int]], draws: list,
+                sides, name: str) -> int:
+    """Check sides(n, la, points, *rest) = two equal image arrays on every
+    draw (shape index, permutation, *rest): the points (x, y, a, b) are the
+    permutation's first 2 + la + lb, and the draws of one shape go at once.
+    Returns the number of draws; the first bad one in draw order raises
+    PropertyFailure naming its points (1-based), and sigma if it has one.
+    """
+    if not draws:
+        return 0
+    which = np.array([d[0] for d in draws], dtype=np.intp)
+    perms = np.array([d[1:] for d in draws]).reshape(len(draws), -1, n)
+    bad = np.zeros(len(draws), dtype=bool)
+    for s in np.unique(which).tolist():
+        k = np.flatnonzero(which == s)
+        la, lb = shapes[s]
+        left, right = sides(n, la, perms[k, 0, :2 + la + lb],
+                            *perms[k, 1:].swapaxes(0, 1))
+        bad[k] = (left != right).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        la, lb = shapes[which[k]]
+        p = (perms[k] + 1).tolist()
+        details = {"x": p[0][0], "y": p[0][1], "a": tuple(p[0][2:2 + la]),
+                   "b": tuple(p[0][2 + la:2 + la + lb])}
+        if len(p) > 1:
+            details["sigma"] = tuple(p[1])
+        raise PropertyFailure("search_exhausted", f"{name} violated",
+                              **details)
+    return len(draws)
 
 
 # --------------------------------------------------------------------------
@@ -337,8 +410,7 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
         q1_form = perm_compose(q1_form, cycle_perm(n, (x, y, *a)))
         q2_form = perm_compose(q2_form, cycle_perm(n, (x, y, *b)))
         pairs.append({"x": x, "y": y, "a": a, "b": b})
-    q1, q2 = G.index[q1_form], G.index[q2_form]
-    assert G.mul(q1, q2) == sigma
+    q1, q2 = _checked_factors(G, G.index[q1_form], G.index[q2_form], sigma)
     if P[q1] and P[q2]:
         return {"mode": "constructive", "q1": q1, "q2": q2, "pairs": pairs,
                 "budget_guaranteed": budget_ok}
@@ -351,13 +423,23 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
     q1s = np.nonzero(P)[0]
     q2s = inv[G.row(int(inv[sigma]))[q1s]]  # q1^-1 sigma = (sigma^-1 q1)^-1
     if P[q2s].any():
-        q1, q2 = int(q1s[P[q2s]][0]), int(q2s[P[q2s]][0])
-        assert G.mul(q1, q2) == sigma
+        q1, q2 = _checked_factors(G, int(q1s[P[q2s]][0]),
+                                  int(q2s[P[q2s]][0]), sigma)
         return {"mode": "fallback", "q1": q1, "q2": q2,
                 "pairs": None, "budget_guaranteed": False}
     raise PropertyFailure("search_exhausted",
                           "sigma is not a product of two elements of P",
                           sigma=sigma)
+
+
+def _checked_factors(G: FiniteGroup, q1: int, q2: int,
+                     sigma: int) -> tuple[int, int]:
+    """(q1, q2), once q1 * q2 = sigma is checked."""
+    if G.mul(q1, q2) != sigma:
+        raise PropertyFailure("search_exhausted",
+                              "the factors do not multiply to sigma",
+                              q1=q1, q2=q2, sigma=sigma)
+    return q1, q2
 
 
 def class_word_distance(G: FiniteGroup, sigma: int, tau: int,

@@ -213,6 +213,25 @@ def test_perm_express_with_replay(capsys):
         "q1": "(1,2,3)", "q2": "(3,4,5)", "replayed": True}
 
 
+def test_perm_express_replay_is_checked(capsys, monkeypatch):
+    """A factorisation whose replayed product is not sigma is reported as
+    a property failure, exit 1, even under python -O."""
+    express = glab.cli.pf.express_even
+
+    def wrong(*args, **kwargs):
+        r = express(*args, **kwargs)
+        return dict(r, q2=r["q1"])
+
+    monkeypatch.setattr(glab.cli.pf, "express_even", wrong)
+    code, rep = run_cli(capsys, "perm", "express", "--group", "Alt(5)",
+                        "--set", "union(class(e),class((1,2)(3,4)),class((1,2,3)))",
+                        "--sigma", "(1,2,3,4,5)")
+    assert code == 1
+    assert rep["error"]["code"] == "search_exhausted"
+    assert rep["error"]["details"] == {"q1": "(1,2,3)", "q2": "(1,2,3)",
+                                       "sigma": "(1,2,3,4,5)"}
+
+
 def test_perm_distance(capsys):
     code, rep = run_cli(capsys, "perm", "distance", "--group", "Sym(4)",
                         "--sigma", "(1,2)", "--tau", "(1,2,3)")

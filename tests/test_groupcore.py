@@ -269,6 +269,48 @@ def test_class_walks_keep_memory_bounded():
     assert G._rows == {} and G._class_table is not None
 
 
+def _row_per_class_walk(G, a, s):
+    """The class walk with one Cayley row per class of the current vector
+    at every step, the step groups above the class-table size rule took
+    before they stepped through right maps of S's elements."""
+    cid, reps = G.conjugacy_classes()
+    b_idx, rows = np.flatnonzero(s[cid]), {}
+    walk = []
+    while not any((a == w).all() for w in walk):
+        walk.append(a)
+        a = np.zeros(len(reps), dtype=bool)
+        for i in np.flatnonzero(walk[-1]).tolist():
+            if i not in rows:
+                rows[i] = G._tree.row(reps[i])
+            a[cid[rows[i][b_idx]]] = True
+    return walk
+
+
+@pytest.mark.parametrize("spec", ["Cyc(1000)", "Prod(Cyc(8),Sym(3))"])
+def test_class_walk_through_right_maps(spec):
+    """Above the size rule a step takes right maps of S's elements once S
+    is no larger than the current vector; the walk is the one that rows
+    of the classes gave, on seeded S of 1 to 6 classes and A of 1 to 40
+    (or all) classes."""
+    G = build_group(parse_group_spec(spec))
+    c = len(G.conjugacy_classes()[1])
+    assert c ** 2 > 8 * G.order
+    rng = np.random.default_rng(7)
+    for size_s, size_a in [(1, 1), (2, 1), (3, 9), (6, 2), (6, 40)]:
+        a, s = (np.isin(np.arange(c), rng.choice(c, min(k, c), replace=False))
+                for k in (size_a, size_s))
+        want = _row_per_class_walk(G, a, s)
+        assert np.array_equal(list(class_walk(G, a, s)), want)
+
+
+def test_a_long_class_walk_keeps_one_row():
+    """Cyc(3000) from 1 to 1500: one right map, where the row per class
+    step cached 1499 rows."""
+    G = build_group(parse_group_spec("Cyc(3000)"))
+    assert class_word_distance(G, 1, 1500) == {"k": 1500}
+    assert len(G._rows) <= 1
+
+
 def test_bounded_simplicity_degree_builds_one_row_per_class(monkeypatch):
     """SL(3,3) built all of its 5616 rows with one row per element of A."""
     G = build_group(parse_group_spec("SL(3,3)"))

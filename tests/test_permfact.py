@@ -1,6 +1,9 @@
 """Disjoint-cycle surgery identities and two-factor expressions."""
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -107,6 +110,10 @@ def test_scans_refuse_too_few_points():
     with pytest.raises(InputError) as e:
         scan_merge(7, shapes=[(3, 3)])
     assert e.value.code == "invalid_parameters"
+    for shape in [(2, 2), (1, 4), (0, 1), (-1, 3)]:
+        with pytest.raises(InputError) as e:  # checked before any sweep
+            scan_merge(8, shapes=[shape], random_samples=0)
+        assert e.value.code == "even_length"
 
 
 def test_scan_merge_degree7():
@@ -283,17 +290,174 @@ def test_sweep_compares_both_sides():
 
 
 def test_scan_merge_spot_checks_format_no_text(monkeypatch):
-    calls = []
-    check = permfact._checked_merge
+    """The spot checks stay on image arrays, and every requested random
+    sample is checked."""
+    rows = []
+    sides = permfact._merge_sides
 
-    def counting(*args):
-        calls.append(args)
-        return check(*args)
+    def counting(n, la, points):
+        rows.extend(points.tolist())
+        return sides(n, la, points)
 
-    monkeypatch.setattr(permfact, "_checked_merge", counting)
+    monkeypatch.setattr(permfact, "_merge_sides", counting)
     monkeypatch.setattr(permfact, "perm_to_text", None)  # a call would fail
     rep = scan_merge(8, shapes=[(1, 3)], random_samples=50)
-    assert rep["random_checks"] == len(calls) == 50
+    assert rep["random_checks"] == len(rows) == 50
+
+
+# -- the batched spot checks against the form-level loops
+
+
+def _form_level_spot_checks(n, shapes, seed, samples):
+    """The spot checks of scan_merge one draw at a time, from cycle_perm,
+    perm_compose and merge_split: per equivariance draw its 0-based
+    points, la, sigma and both sides; per random draw its points, la and
+    product."""
+    rng = np.random.default_rng(seed)
+    relabeled, merged = [], []
+    for _ in range(200):
+        la, lb = shapes[rng.integers(len(shapes))]
+        pts = tuple(int(v) for v in rng.permutation(n)[:2 + la + lb])
+        sigma = tuple(int(v) for v in rng.permutation(n))
+        x, y, a, b = pts[0], pts[1], pts[2:2 + la], pts[2 + la:]
+        inv = perm_inverse(sigma)
+        left = right = ()
+        for cyc in [(x, y) + a, (x, y) + b, (x,) + a, (y,) + b]:
+            c = cycle_perm(n, _one_based(cyc))
+            left += perm_compose(sigma, perm_compose(c, inv))
+            right += cycle_perm(n, tuple(sigma[q] + 1 for q in cyc))
+        assert left == right
+        relabeled.append((pts, la, sigma, left))
+    for _ in range(samples):
+        la, lb = shapes[rng.integers(len(shapes))]
+        pts = tuple(int(v) for v in rng.permutation(n)[:2 + la + lb])
+        merged.append((pts, la, merge_split(
+            n, pts[0] + 1, pts[1] + 1, _one_based(pts[2:2 + la]),
+            _one_based(pts[2 + la:]))["result"]))
+    return relabeled, merged
+
+
+def _spot_checks_only(monkeypatch):
+    """Let scan_merge skip its sweeps and log what its spot checks build:
+    per checked draw (points, sigma or None, left side, right side)."""
+    monkeypatch.setattr(permfact, "_sweep", lambda *args: 0)
+    log = []
+
+    def recording(sides):
+        def logged(n, la, points, *sigma):
+            left, right = sides(n, la, points, *sigma)
+            rest = sigma[0].tolist() if sigma else [None] * len(points)
+            log.extend(zip(points.tolist(), rest, left.tolist(),
+                           right.tolist()))
+            return left, right
+        return logged
+
+    for name in ("_merge_sides", "_relabel_sides"):
+        monkeypatch.setattr(permfact, name,
+                            recording(getattr(permfact, name)))
+    return log
+
+
+SPOT_SHAPES = [
+    (7, [(1, 1), (1, 3), (3, 1)]),
+    (8, [(1, 1), (1, 3), (3, 1), (3, 3), (1, 5)]),
+    (12, [(2 * p + 1, 2 * q + 1) for p in range(4) for q in range(4)
+          if 2 * p + 2 * q + 4 <= 12]),
+]
+
+
+@pytest.mark.parametrize("n, shapes", SPOT_SHAPES)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_spot_checks_match_the_form_level_loops(monkeypatch, n, shapes,
+                                                 seed):
+    """Same seed, same draws: the batched checks see each draw of the
+    form-level loops, and build the images those loops build."""
+    log = _spot_checks_only(monkeypatch)
+    rep = scan_merge(n, shapes=shapes, seed=seed, random_samples=300)
+    assert rep["equivariance_checks"] == 200 and rep["random_checks"] == 300
+    relabeled, merged = _form_level_spot_checks(n, shapes, seed, 300)
+    want = Counter(
+        [(p, s, left, left) for p, _, s, left in relabeled]
+        + [(p, None, img, img) for p, _, img in merged])
+    got = Counter((tuple(p), s if s is None else tuple(s), tuple(left),
+                   tuple(right)) for p, s, left, right in log)
+    assert got == want
+    assert {(la, len(p) - 2 - la) for p, la, *_ in relabeled + merged} \
+        == set(shapes)
+
+
+def _break_cycles(monkeypatch, points):
+    """Make the batched cycle builder return the identity for the cycle
+    through the 0-based ``points``, in that order."""
+    build = permfact._cycles
+
+    def broken(n, rows):
+        images = build(n, rows)
+        if rows.shape[1] == len(points):
+            images[(rows == points).all(axis=1)] = np.arange(n)
+        return images
+
+    monkeypatch.setattr(permfact, "_cycles", broken)
+
+
+@pytest.mark.parametrize("n, shapes", SPOT_SHAPES)
+@pytest.mark.parametrize("stage", ["relabel", "merge"])
+def test_spot_checks_report_the_broken_sample(monkeypatch, n, shapes, stage):
+    """A cycle builder that is wrong on one draw's (x, y, a) is caught, and
+    the first draw that uses that cycle is named, 1-based, with its sigma
+    in the equivariance checks."""
+    seed = 3
+    relabeled, merged = _form_level_spot_checks(n, shapes, seed, 300)
+
+    def cycles(draw):
+        p, la = draw[:2]
+        cs = [p[:2 + la], p[:2] + p[2 + la:], p[:1] + p[2:2 + la],
+              p[1:2] + p[2 + la:]]
+        if len(draw) == 4:  # an equivariance draw: the relabeled cycles too
+            cs += [tuple(draw[2][q] for q in c) for c in cs]
+        return cs
+
+    def xya(draw):
+        return draw[0][:2 + draw[1]]
+
+    if stage == "relabel":
+        draws, cycle = relabeled, xya(relabeled[100])
+    else:  # a random draw whose (x, y, a) no equivariance draw builds
+        draws, taken = merged, {c for d in relabeled for c in cycles(d)}
+        cycle = next(xya(d) for d in merged[150:] if xya(d) not in taken)
+    first = next(d for d in draws if cycle in cycles(d))
+    p, la = first[:2]
+    details = {"x": p[0] + 1, "y": p[1] + 1, "a": _one_based(p[2:2 + la]),
+               "b": _one_based(p[2 + la:])}
+    if stage == "relabel":
+        details["sigma"] = _one_based(first[2])
+    monkeypatch.setattr(permfact, "_sweep", lambda *args: 0)
+    _break_cycles(monkeypatch, cycle)
+    with pytest.raises(PropertyFailure) as e:
+        scan_merge(n, shapes=shapes, seed=seed, random_samples=300)
+    assert e.value.code == "search_exhausted"
+    assert e.value.message == ("conjugation equivariance violated"
+                               if stage == "relabel"
+                               else "merge identity violated")
+    assert e.value.details == details
+
+
+def test_spot_checks_stay_checks_under_optimisation():
+    """Under python -O a broken inverse still raises PropertyFailure."""
+    src = os.path.dirname(os.path.dirname(permfact.__file__))
+    code = (
+        "import glab.permfact as pf\n"
+        "from glab.errors import PropertyFailure\n"
+        "pf._sweep = lambda *args: 0\n"
+        "pf._inverse = lambda f: f\n"
+        "try:\n"
+        "    pf.scan_merge(8, shapes=[(1, 3)])\n"
+        "except PropertyFailure as e:\n"
+        "    print(e.code, e.message)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], text=True,
+                         capture_output=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "search_exhausted conjugation equivariance violated\n"
 
 
 def _break_kernel(monkeypatch, *instances):
@@ -380,6 +544,23 @@ def test_express_whole_group(alt5):
         assert alt5.mul(got["q1"], got["q2"]) == sigma
         modes[got["mode"]] += 1
     assert modes == Counter({"constructive": 36, "fallback": 24})
+
+
+@pytest.mark.parametrize("sigma, mode", [("(1,2)(3,4)", "constructive"),
+                                         ("(1,2,3,4,5)", "fallback")])
+def test_express_checks_its_product(monkeypatch, sigma, mode):
+    """A wrong product q1 * q2 is a typed failure on both routes, not an
+    assert that python -O drops."""
+    G = build_group(parse_group_spec("Alt(5)"))
+    P, s = _alt5_small_support_set(G), parse_element(G, sigma)
+    got, mul = express_even(G, P, s), G.mul
+    assert got["mode"] == mode
+    monkeypatch.setattr(G, "mul", lambda a, b: 0 if (a, b) == (
+        got["q1"], got["q2"]) else mul(a, b))
+    with pytest.raises(PropertyFailure) as e:
+        express_even(G, P, s)
+    assert e.value.code == "search_exhausted"
+    assert e.value.details == {"q1": got["q1"], "q2": got["q2"], "sigma": s}
 
 
 def _express_or_error(G, P, sigma):
