@@ -32,6 +32,7 @@ from .groupcore import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SLSpec,
+    _mul_mod,
     check_order,
     class_walk,
     mat_identity,
@@ -230,18 +231,11 @@ def _x_stack(n: int, p: int, roots, s) -> np.ndarray:
     return out
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Products mod p of two broadcasting stacks of residue matrices."""
-    # an entry of a product is a sum of n terms below p^2; the CLI's
-    # instance cap keeps p <= 157 (at rank 1), far inside int64
-    assert a.shape[-1] * (p - 1) ** 2 < 2 ** 63, "int64 products overflow"
-    return np.matmul(a, b) % p
-
-
 def _checked_inverse(x: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
     """``xi``, once x·xi = I is checked over the whole stack."""
-    assert (_mul_mod(x, xi, p) == np.eye(x.shape[-1], dtype=np.int64)).all(), \
-        "stacked inverse must invert"
+    if not (_mul_mod(x, xi, p) == np.eye(x.shape[-1], dtype=np.int64)).all():
+        raise PropertyFailure("search_exhausted", "stacked inverse must invert",
+                              p=p)
     return xi
 
 

@@ -53,7 +53,7 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
                          "table must be |H| lists of |H| integers",
                          expected=[m, m])
     h = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    M = np.stack([base.row(x) for x in range(m)])
+    M = base.rows(np.arange(m))
     lhs = h[:, :, None] + h[M]
     rhs = h[None, :, :] + h[:, M.reshape(-1)].reshape(m, m, m)
     bad = np.nonzero((lhs - rhs) % p)
@@ -85,7 +85,9 @@ def build_extension(base_spec: GroupSpec, p: int, table,
     spec = CocycleExtSpec(p=p, base=base_spec,
                           values=tuple(int(v) for v in h.reshape(-1)))
     E = build_group(spec, cap=cap)
-    assert E.order == p * base.order
+    if E.order != p * base.order:
+        raise PropertyFailure("search_exhausted", "extension order is not p·|H|",
+                              order=E.order, expected=p * base.order)
     return spec, E
 
 
@@ -102,7 +104,10 @@ def identity_inverse_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
     h11 = int(h[0, 0])
     p = spec.p
     ident = ((-h11) % p, base.elements[0])
-    assert E.elements[0] == ident
+    if E.elements[0] != ident:
+        raise PropertyFailure("search_exhausted",
+                              "extension identity is not (-h(e,e), e)",
+                              element=0)
     checked = 0
     for g in range(E.order):
         a, xf = E.elements[g]
@@ -310,7 +315,7 @@ def coboundary_cocycle(base: FiniteGroup, p: int, seed: int = 0) -> np.ndarray:
     _require(seed >= 0, "seed must be >= 0", seed=seed)
     rng = np.random.default_rng(seed)
     u = rng.integers(0, p, size=base.order)
-    M = np.stack([base.row(x) for x in range(base.order)])
+    M = base.rows(np.arange(base.order))
     return (u[:, None] + u[None, :] - u[M]) % p
 
 

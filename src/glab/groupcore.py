@@ -5,7 +5,9 @@ Groups are described by small frozen spec objects (:class:`CycSpec`,
 as :class:`FiniteGroup` instances: a list of canonical element forms plus
 index-level multiplication.  Enumeration is a layered breadth-first search
 from a fixed per-family generating set, with each new layer sorted by
-canonical form.  Two consequences the rest of the toolkit relies on:
+canonical form.  A layer is multiplied by the generators in one call
+(one mod-p matrix product for SL, one getter per generator for
+permutations).  Two consequences the rest of the toolkit relies on:
 
 * the identity always has index 0;
 * element indices — and therefore every witness, class representative and
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -173,6 +176,17 @@ def mat_mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
     return tuple(v % p for v in out)
 
 
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Products mod p of two broadcasting stacks of residue matrices: the
+    one mod-p matrix kernel, for SL enumeration and ``chevalley``'s checks."""
+    # an entry of a product is a sum of n terms below p^2
+    if a.shape[-1] * (p - 1) ** 2 >= 2 ** 63:
+        raise CapExceeded("modulus_cap_exceeded",
+                          "int64 matrix products overflow at this modulus",
+                          n=a.shape[-1], p=p)
+    return np.matmul(a, b) % p
+
+
 def mat_identity(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
@@ -208,6 +222,16 @@ class _Model:
     # quotient models carry their parent group for projection bookkeeping
     parent: "FiniteGroup | None" = None
     parent_projection: "np.ndarray | None" = None
+    # times(frontier) = [f·g for f in frontier for g in generator_forms],
+    # in that order: every product of one BFS layer in one call; a family
+    # without a batched product takes a comprehension over ``mul``
+    times: Callable | None = None
+
+    def __post_init__(self):
+        if self.times is None:
+            mul, gens = self.mul, self.generator_forms
+            self.times = lambda frontier: [mul(f, g) for f in frontier
+                                           for g in gens]
 
 
 def check_order(factors, cap: int, what: str = "group order") -> None:
@@ -264,7 +288,7 @@ def _sym_model(spec: SymSpec, cap: int) -> _Model:
         gens.append((1, 0) + tuple(range(2, n)))
     if n >= 3:
         gens.append(tuple(range(1, n)) + (0,))
-    return _Model(ident, gens, perm_compose, perm_inverse)
+    return _perm_model(ident, gens)
 
 
 def _alt_model(spec: AltSpec, cap: int) -> _Model:
@@ -280,7 +304,17 @@ def _alt_model(spec: AltSpec, cap: int) -> _Model:
             gens.append(tuple(range(1, n)) + (0,))
         else:  # (2,3,...,n): odd-length cycle, even permutation
             gens.append((0,) + tuple(range(2, n)) + (1,))
-    return _Model(ident, gens, perm_compose, perm_inverse)
+    return _perm_model(ident, gens)
+
+
+def _perm_model(ident: tuple, gens: list) -> _Model:
+    # f·g = f∘g reads f at the images of g; every generator moves at least
+    # two points, so each getter returns a tuple
+    getters = [itemgetter(*g) for g in gens]
+
+    def times(frontier):
+        return [get(f) for f in frontier for get in getters]
+    return _Model(ident, gens, perm_compose, perm_inverse, times=times)
 
 
 def _sl_model(spec: SLSpec, cap: int) -> _Model:
@@ -300,9 +334,14 @@ def _sl_model(spec: SLSpec, cap: int) -> _Model:
                 g = list(ident)
                 g[i * n + j] = 1
                 gens.append(tuple(g))
+    stack = np.array(gens, dtype=np.int64).reshape(-1, n, n)
+
+    def times(frontier):
+        f = np.array(frontier, dtype=np.int64).reshape(-1, 1, n, n)
+        return list(map(tuple, _mul_mod(f, stack, p).reshape(-1, n * n).tolist()))
     return _Model(ident, gens,
                   lambda a, b: mat_mul(a, b, n, p),
-                  lambda a: mat_inverse(a, n, p))
+                  lambda a: mat_inverse(a, n, p), times=times)
 
 
 def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
@@ -409,14 +448,16 @@ class _CayleyTree:
     ``right[k, x]`` is the index of x·g_k for the k-th generator form.  Each
     element b other than e keeps the first edge that found it, b = p·g_k
     with p in an earlier layer.  Since a·b = (a·p)·g_k, a whole Cayley row
-    follows from its first entry a·e = a by one gather per layer.
+    follows from its first entry a·e = a by one gather per layer, and a
+    batch of rows by the same gathers on one column per row.
 
     The same walk from e over the Cayley rows of the g_k^-1 gives the
     inverses, since b^-1 = g_k^-1·p^-1.
 
     A numpy call costs about as much as fifteen elements walked in plain
-    Python, so a tree whose layers average fewer than sixteen elements (a
-    long cycle has one per layer) is walked element by element instead.
+    Python, so a single row of a tree whose layers average fewer than
+    sixteen elements (a long cycle has one per layer) is walked element by
+    element instead; a batch of rows always takes the layered walk.
     """
 
     def __init__(self, right: list, edges: list, layer_ends: list, n_gens: int):
@@ -426,17 +467,23 @@ class _CayleyTree:
         # of the table of g_k in the flattened tables
         edges = np.array(edges, dtype=np.int64)
         n_gens = max(n_gens, 1)
-        parent, offset = edges // n_gens, (edges % n_gens) * n
-        self._thin, self._steps = None, []
+        self._parent, self._offset = edges // n_gens, (edges % n_gens) * n
+        self._layer_ends = layer_ends
+        self._thin = None
         if n < 16 * (len(layer_ends) - 1):
-            self._thin = list(zip(parent.tolist(), offset.tolist()))
-        else:
-            self._steps = [(lo, hi, parent[lo - 1:hi - 1], offset[lo - 1:hi - 1])
-                           for lo, hi in zip(layer_ends, layer_ends[1:])]
+            self._thin = list(zip(self._parent.tolist(), self._offset.tolist()))
         self._flat_right = self._flat(self.right)
 
+    @cached_property
+    def _steps(self) -> list:
+        """Each layer [lo, hi) after {e}, with the parents and table offsets
+        of its elements; built on the first layered walk."""
+        ends, parent, offset = self._layer_ends, self._parent, self._offset
+        return [(lo, hi, parent[lo - 1:hi - 1], offset[lo - 1:hi - 1])
+                for lo, hi in zip(ends, ends[1:])]
+
     def _flat(self, tables: np.ndarray):
-        """One table per generator, flattened the way the walk reads them."""
+        """One table per generator, flattened the way :meth:`_walk` reads them."""
         flat = tables.ravel()
         return flat.tolist() if self._thin is not None else flat
 
@@ -458,21 +505,19 @@ class _CayleyTree:
         return self._walk(a, self._flat_right)
 
     def rows(self, starts: np.ndarray) -> np.ndarray:
-        """row(a) for each a in ``starts``, one per line: the walk of
-        :meth:`_walk` on one column per start, a gather per layer for all."""
-        if self._thin is not None:
-            return np.array([self.row(a) for a in starts.tolist()],
-                            dtype=np.int64).reshape(len(starts), -1)
+        """row(a) for each a in ``starts``, one per line: the layered walk
+        on one column per start, on every tree."""
         w = np.empty((self.right.shape[1], len(starts)), dtype=np.int64)
         w[0] = starts
+        flat = self.right.ravel()
         for lo, hi, parent, offset in self._steps:
-            w[lo:hi] = self._flat_right[offset[:, None] + w[parent]]
+            w[lo:hi] = flat[offset[:, None] + w[parent]]
         return w.T
 
     def inverses(self) -> np.ndarray:
         # x·g_k = e exactly at x = g_k^-1, the only 0 in the table of g_k
-        lefts = [self.row(int(g)) for g in self.right.argmin(axis=1)]
-        return self._walk(0, self._flat(np.array(lefts, dtype=np.int64)))
+        lefts = self.rows(self.right.argmin(axis=1))
+        return self._walk(0, self._flat(lefts))
 
 
 class FiniteGroup:
@@ -485,12 +530,12 @@ class FiniteGroup:
     """
 
     def __init__(self, spec: GroupSpec, model: _Model, elements: list,
-                 tree: _CayleyTree):
+                 index: dict, tree: _CayleyTree):
         self.spec = spec
         self._model = model
         self.elements = elements
         self.order = len(elements)
-        self.index = {f: i for i, f in enumerate(elements)}
+        self.index = index  # form -> index into ``elements``
         self._tree = tree
         gens = []
         for g in model.generator_forms:
@@ -652,7 +697,8 @@ class FiniteGroup:
 def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Enumerate the group described by ``spec``.
 
-    Layered BFS over right multiplication by the canonical generators; each
+    Layered BFS over right multiplication by the canonical generators, with
+    the products of each layer from one ``model.times`` call; each new
     layer is sorted by canonical form before being assigned indices, which
     pins the numbering.  Raises ``order_cap_exceeded`` when the family's
     order exceeds ``cap``, before any element is enumerated, and once more
@@ -670,15 +716,13 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     while frontier:
         found: dict = {}
         pending = []
-        for f in frontier:
-            for g in model.generator_forms:
-                h = model.mul(f, g)
-                i = index.get(h)
-                if i is None:
-                    found.setdefault(h, len(right))
-                    pending.append(len(right))
-                    i = h
-                right.append(i)
+        for h in model.times(frontier):
+            i = index.get(h)
+            if i is None:
+                found.setdefault(h, len(right))
+                pending.append(len(right))
+                i = h
+            right.append(i)
         frontier = sorted(found)
         for h in frontier:
             index[h] = len(elements)
@@ -690,7 +734,7 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         for pos in pending:
             right[pos] = index[right[pos]]
         layer_ends.append(len(elements))
-    return FiniteGroup(spec, model, elements, _CayleyTree(
+    return FiniteGroup(spec, model, elements, index, _CayleyTree(
         right, edges, layer_ends[:-1], len(model.generator_forms)))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from glab import extensions
 from glab.errors import CapExceeded, InputError
 from glab.extensions import (
     build_extension,
@@ -61,6 +62,21 @@ def test_validate_cocycle_rejects_perturbation():
     assert e.value.code == "invalid_cocycle"
     assert e.value.details["triple"] == [1, 1, 2]
     assert e.value.details == {"triple": [1, 1, 2], "lhs": 2, "rhs": 0}
+
+
+@pytest.mark.parametrize("base_text", ["Sym(4)", "Cyc(12)"])
+def test_cocycle_checks_cache_no_base_rows(base_text, monkeypatch):
+    """The cocycle table, its check and the splitting search read the base
+    group's multiplication table as one batch of rows, and cache none."""
+    base = build_group(parse_group_spec(base_text))
+    table = coboundary_cocycle(base, 3, seed=1)
+    spec, E = build_extension(base.spec, 3, table)
+    validate_cocycle(base, table, 3)
+    build = extensions.build_group
+    monkeypatch.setattr(extensions, "build_group", lambda s, cap=10 ** 5:
+                        base if s == base.spec else build(s, cap=cap))
+    assert split_check(E, spec)["splits"]
+    assert base._rows == {}
 
 
 # -- the carry extension: Z/4 as a nonsplit extension of Z/2 by Z/2

@@ -9,11 +9,16 @@ family's frozen test group.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glab import groupcore
+from glab.errors import CapExceeded
 from glab.extensions import build_extension, carry_cocycle, coboundary_cocycle
 from glab.groupcore import (
     AbSpec,
@@ -214,3 +219,141 @@ def test_quotient_by_a_permutation_in_gen():
     """gen(...) takes element texts that hold parentheses, such as cycles."""
     Q = build_group(parse_group_spec("Quot(Sym(4),gen((1,2)(3,4)))"))
     assert Q.order == 6 and len(Q.conjugacy_classes()[1]) == 3
+
+
+def _form_bfs(model):
+    """The enumeration with one ``model.mul`` per (element, generator) pair,
+    as ``build_group`` ran it before its layers were multiplied at once:
+    the elements, the right tables (k, |G|) and each element's first edge
+    as (parent, k)."""
+    elements = [model.identity]
+    index = {model.identity: 0}
+    right, edges = [], []
+    frontier = [model.identity]
+    while frontier:
+        found, pending = {}, []
+        for f in frontier:
+            for g in model.generator_forms:
+                h = model.mul(f, g)
+                i = index.get(h)
+                if i is None:
+                    found.setdefault(h, len(right))
+                    pending.append(len(right))
+                    i = h
+                right.append(i)
+        frontier = sorted(found)
+        for h in frontier:
+            index[h] = len(elements)
+            elements.append(h)
+            edges.append(found[h])
+        for pos in pending:
+            right[pos] = index[right[pos]]
+    k = len(model.generator_forms)
+    right = np.array(right, dtype=np.int64).reshape(len(elements), k).T
+    edges = [divmod(e, k) for e in edges]
+    return elements, right, edges
+
+
+def _extension():
+    base = build_group(SymSpec(4))
+    return build_extension(base.spec, 3, coboundary_cocycle(base, 3, seed=7))[1]
+
+
+ORACLE_GROUPS = (
+    ["Cyc(1)", "Cyc(2)", "Cyc(24)", "Ab(2,2)", "Ab(30,40)"]
+    + [f"Sym({n})" for n in range(1, 8)] + [f"Alt({n})" for n in range(2, 8)]
+    + [f"SL(2,{p})" for p in (2, 3, 5, 7, 11, 13)] + ["SL(3,2)", "SL(3,3)"]
+    + ["Quot(SL(2,7),center)", "Prod(Alt(5),Sym(3))", "extension"])
+
+
+@pytest.mark.parametrize("text", ORACLE_GROUPS)
+def test_layer_products_match_the_form_level_bfs(text):
+    """One batched product per layer numbers every element, fills every
+    right table and picks every tree edge as the pairwise loop does."""
+    G = _extension() if text == "extension" else build_group(parse_group_spec(text))
+    elements, right, edges = _form_bfs(G._model)
+    # repr also pins the types: tuples of Python ints, ints for Cyc
+    assert repr(G.elements) == repr(elements)
+    assert G.index == {f: i for i, f in enumerate(elements)}
+    tree = G._tree
+    assert tree.right.shape == right.shape and (tree.right == right).all()
+    n = G.order
+    assert list(zip(tree._parent.tolist(), (tree._offset // n).tolist())) == edges
+    # every Cayley row: row(a)[0] = a and a·(x·g_k) = (a·x)·g_k
+    for lo in range(0, n, 512):
+        starts = np.arange(lo, min(lo + 512, n))
+        rows = G.rows(starts)
+        assert (rows[:, 0] == starts).all()
+        for table in right:
+            assert (rows[:, table] == table[rows]).all()
+        for a, row in zip(starts.tolist(), rows):
+            assert (tree.row(a) == row).all()
+    inverses = [G.index[G._model.inv(f)] for f in elements]
+    assert G.inverses().tolist() == inverses
+
+
+@pytest.mark.parametrize("text,layered", [
+    ("Cyc(24)", False), ("Sym(4)", False), ("SL(2,5)", False),
+    ("Alt(6)", True), ("Cyc(1)", True)])
+def test_row_batches_equal_stacked_rows(text, layered):
+    """rows() takes the layered walk on every tree, row() the thin one on
+    thin trees; both give the same rows, for any batch and an empty one."""
+    G = build_group(parse_group_spec(text))
+    assert (G._tree._thin is None) == layered
+    starts = np.random.default_rng(3).permutation(G.order)
+    stacked = np.stack([G._tree.row(int(a)) for a in starts])
+    assert (G.rows(starts) == stacked).all()
+    assert (G.rows(starts[:1]) == stacked[:1]).all()
+    assert G.rows(np.array([], dtype=np.int64)).shape == (0, G.order)
+    assert G._rows == {}
+
+
+def test_largest_sl2_under_the_cap_enumerates(hang_guard):
+    """SL(2,43), 79,464 elements, the largest SL(2,p) under the default
+    cap; sampled rows and inverses agree with the form-level product."""
+    G = build_group(SLSpec(2, 43))
+    assert G.order == 43 * (43 ** 2 - 1) == 79_464
+    rng = np.random.default_rng(0)
+    sample = rng.choice(G.order, 6, replace=False)
+    inv = G.inverses()
+    for a, row in zip(sample.tolist(), G.rows(sample)):
+        fa = G.elements[a]
+        for b in rng.choice(G.order, 50).tolist():
+            assert row[b] == G.index[G.mul_form(fa, G.elements[b])]
+        assert inv[a] == G.index[G.inv_form(fa)]
+    with pytest.raises(CapExceeded):
+        build_group(SLSpec(2, 47))
+
+
+def test_kernel_checks_stay_checks_under_optimisation():
+    """Under python -O the overflow guard of the mod-p kernel, the stacked
+    inverse check and the extension's order and identity checks still
+    raise their typed errors."""
+    src = os.path.dirname(os.path.dirname(groupcore.__file__))
+    code = (
+        "import numpy as np\n"
+        "from glab import chevalley, extensions, groupcore\n"
+        "from glab.errors import ToolkitError\n"
+        "def attempt(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except ToolkitError as e:\n"
+        "        print(type(e).__name__, e.code, e.message)\n"
+        "eye = np.eye(2, dtype=np.int64)\n"
+        "attempt(lambda: groupcore._mul_mod(eye, eye, 2 ** 32))\n"
+        "attempt(lambda: chevalley._checked_inverse(eye + np.eye(2, k=1, dtype=np.int64), eye, 5))\n"
+        "real = extensions.build_group\n"
+        "extensions.build_group = lambda s, cap: real(getattr(s, 'base', s), cap=cap)\n"
+        "attempt(lambda: extensions.build_extension(*extensions.carry_cocycle()))\n"
+        "extensions.build_group = real\n"
+        "spec, E = extensions.build_extension(*extensions.carry_cocycle())\n"
+        "wrong = groupcore.CocycleExtSpec(spec.p, spec.base, (1,) + spec.values[1:])\n"
+        "attempt(lambda: extensions.identity_inverse_check(E, wrong))\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], text=True,
+                         capture_output=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == (
+        "CapExceeded modulus_cap_exceeded int64 matrix products overflow at this modulus\n"
+        "PropertyFailure search_exhausted stacked inverse must invert\n"
+        "PropertyFailure search_exhausted extension order is not p·|H|\n"
+        "PropertyFailure search_exhausted extension identity is not (-h(e,e), e)\n")
