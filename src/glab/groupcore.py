@@ -455,9 +455,11 @@ class _CayleyTree:
     inverses, since b^-1 = g_k^-1·p^-1.
 
     A numpy call costs about as much as fifteen elements walked in plain
-    Python, so a single row of a tree whose layers average fewer than
-    sixteen elements (a long cycle has one per layer) is walked element by
-    element instead; a batch of rows always takes the layered walk.
+    Python, so a tree whose layers average fewer than sixteen elements (a
+    long cycle has one per layer) is walked element by element instead.
+    A batch of rows takes the same rule on all its elements: it is walked
+    start by start while it has fewer elements than sixteen per layer, and
+    by layer otherwise.
     """
 
     def __init__(self, right: list, edges: list, layer_ends: list, n_gens: int):
@@ -469,8 +471,9 @@ class _CayleyTree:
         n_gens = max(n_gens, 1)
         self._parent, self._offset = edges // n_gens, (edges % n_gens) * n
         self._layer_ends = layer_ends
+        self._thin_size = 16 * (len(layer_ends) - 1)
         self._thin = None
-        if n < 16 * (len(layer_ends) - 1):
+        if n < self._thin_size:
             self._thin = list(zip(self._parent.tolist(), self._offset.tolist()))
         self._flat_right = self._flat(self.right)
 
@@ -506,8 +509,13 @@ class _CayleyTree:
 
     def rows(self, starts: np.ndarray) -> np.ndarray:
         """row(a) for each a in ``starts``, one per line: the layered walk
-        on one column per start, on every tree."""
-        w = np.empty((self.right.shape[1], len(starts)), dtype=np.int64)
+        on one column per start, or start by start on a thin tree when the
+        batch is small."""
+        n = self.right.shape[1]
+        if len(starts) * n < self._thin_size:
+            return np.array([self.row(a) for a in starts.tolist()],
+                            dtype=np.int64).reshape(len(starts), n)
+        w = np.empty((n, len(starts)), dtype=np.int64)
         w[0] = starts
         flat = self.right.ravel()
         for lo, hi, parent, offset in self._steps:

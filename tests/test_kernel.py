@@ -296,14 +296,18 @@ def test_layer_products_match_the_form_level_bfs(text):
     ("Cyc(24)", False), ("Sym(4)", False), ("SL(2,5)", False),
     ("Alt(6)", True), ("Cyc(1)", True)])
 def test_row_batches_equal_stacked_rows(text, layered):
-    """rows() takes the layered walk on every tree, row() the thin one on
-    thin trees; both give the same rows, for any batch and an empty one."""
+    """row() walks thin trees element by element, and rows() a small batch
+    on them start by start and a large one by layer; all give the same
+    rows, for any batch and an empty one."""
     G = build_group(parse_group_spec(text))
     assert (G._tree._thin is None) == layered
     starts = np.random.default_rng(3).permutation(G.order)
     stacked = np.stack([G._tree.row(int(a)) for a in starts])
-    assert (G.rows(starts) == stacked).all()
     assert (G.rows(starts[:1]) == stacked[:1]).all()
+    # the per-layer slices are built by the first layered walk only
+    assert ("_steps" in vars(G._tree)) == layered
+    assert (G.rows(starts[:2]) == stacked[:2]).all()
+    assert (G.rows(starts) == stacked).all()
     assert G.rows(np.array([], dtype=np.int64)).shape == (0, G.order)
     assert G._rows == {}
 
