@@ -19,7 +19,9 @@ right-multiplication table per generator, R_k[x] = x·g_k, and for each
 element b the first tree edge b = parent·g_k that found it.  Cayley rows
 walk that tree (a·b = (a·parent)·g_k, one numpy gather per layer), and
 the same walk over the rows of the g_k^-1 gives the inverse array
-(b^-1 = g_k^-1·parent^-1).  Conjugation by a generator is the table
+(b^-1 = g_k^-1·parent^-1).  No row is kept: a caller that needs many
+walks them through :meth:`FiniteGroup.row_batches`, ``ROW_BATCH``
+entries at a time.  Conjugation by a generator is the table
 inv[R_k[inv[R_k]]], and classes and centres are array operations on
 those tables.  None of this depends on the group family.
 ``mul``/``mul_form``/``inv_form`` stay form-level, as the independent
@@ -46,13 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, SpecSyntaxError
+from .errors import CapExceeded, InputError, PropertyFailure, SpecSyntaxError
 
 DEFAULT_ORDER_CAP = 100_000
 ROW_BATCH = 1 << 18  # Cayley-row entries walked at once, 2 MB of int64
@@ -553,7 +555,6 @@ class FiniteGroup:
         self.generators = tuple(gens)
         self._inv_arr: np.ndarray | None = None
         self._conj: np.ndarray | None = None
-        self._rows: dict[int, np.ndarray] = {}
         self._classes = None
         self._class_table: np.ndarray | None = None
         self._center: np.ndarray | None = None
@@ -606,17 +607,23 @@ class FiniteGroup:
         return k
 
     def row(self, a: int) -> np.ndarray:
-        """Cayley row: row(a)[b] = index of a*b.  Cached per element."""
-        r = self._rows.get(a)
-        if r is None:
-            r = self._rows[a] = self._tree.row(a)
-        return r
+        """Cayley row: row(a)[b] = index of a*b, walked afresh on each call."""
+        return self._tree.row(a)
 
     def rows(self, elements: np.ndarray) -> np.ndarray:
-        """Cayley rows of several elements, one per line, walked together
-        and not cached: a caller that needs every row needs them one batch
-        at a time, not |G|^2 int64s at once."""
+        """Cayley rows of several elements, one per line, walked together;
+        none is kept."""
         return self._tree.rows(elements)
+
+    def row_batches(self, elements):
+        """Yield (lo, rows of elements[lo:lo + k]) over ``elements``, with at
+        most ``ROW_BATCH`` row entries per batch: the one path for a caller
+        that needs many rows, which then holds one batch at a time, not
+        len(elements)·|G| int64s at once."""
+        elements = np.asarray(elements, dtype=np.int64)
+        step = max(1, ROW_BATCH // self.order)
+        for lo in range(0, len(elements), step):
+            yield lo, self.rows(elements[lo:lo + step])
 
     def _conjugations(self) -> np.ndarray:
         """conj[k, x] = g_k^-1 x g_k for the k-th generator form, from the tables."""
@@ -641,16 +648,15 @@ class FiniteGroup:
 
         C_i·C_j is a union of classes, and class k meets it iff it meets
         r_i·C_j for the representative r_i: c·b = g·(r_i·b^g)·g^-1 for
-        c = g·r_i·g^-1.  So one uncached row per representative fills T;
-        the rows are walked ``ROW_BATCH`` entries at a time.
+        c = g·r_i·g^-1.  So the rows of the representatives, walked by
+        :meth:`row_batches`, fill T.
         """
         if self._class_table is None:
             cid, reps = self.conjugacy_classes()
             T = np.zeros((len(reps),) * 3, dtype=bool)
-            step = max(1, ROW_BATCH // self.order)
-            for lo in range(0, len(reps), step):
-                i = np.arange(lo, min(lo + step, len(reps)))
-                T[i[:, None], cid, cid[self.rows(np.asarray(reps)[i])]] = True
+            for lo, rows in self.row_batches(reps):
+                i = np.arange(lo, lo + len(rows))
+                T[i[:, None], cid, cid[rows]] = True
             self._class_table = T
         return self._class_table
 
@@ -790,19 +796,26 @@ def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.n
     """{a*b : a in A, b in B} as a mask.
 
     When A and B are unions of classes, so is A·B, which takes one step of
-    :func:`class_walk` on their class vectors.  Other sets take one cached
-    row per element of A.
+    :func:`class_walk` on their class vectors.  Other sets walk the rows of
+    the smaller factor through :meth:`FiniteGroup.row_batches`: the rows of
+    A read at B, or, when B is the smaller, the rows of B^-1 read at A^-1,
+    since A·B = (B^-1·A^-1)^-1.
     """
-    b_idx = np.flatnonzero(b_mask)
+    a_idx, b_idx = np.flatnonzero(a_mask), np.flatnonzero(b_mask)
     if len(b_idx) == 0:
         return np.zeros(G.order, dtype=bool)
     if is_normal_mask(G, a_mask) and is_normal_mask(G, b_mask):
         cid, reps = G.conjugacy_classes()
         return _class_step(G, b_mask[reps])(a_mask[reps])[cid]
     out = np.zeros(G.order, dtype=bool)
-    for a in np.flatnonzero(a_mask).tolist():
-        out[G.row(a)[b_idx]] = True
-    return out
+    if len(a_idx) <= len(b_idx):
+        for _, rows in G.row_batches(a_idx):
+            out[rows[:, b_idx]] = True
+        return out
+    inv = G.inverses()
+    for _, rows in G.row_batches(inv[b_idx]):
+        out[rows[:, inv[a_idx]]] = True
+    return out[inv]
 
 
 def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
@@ -812,11 +825,12 @@ def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
     table: M[i, k] = class k meets C_i·S, and a·s is the union of the
     rows M[i] over the classes i of a.  A larger group (an abelian one has
     c = |G|) builds no table and takes the classes of r_i·S, which meets
-    the same classes as C_i·S, over the representatives r_i of a: from one
-    cached row per r_i, or, when S has no more elements than a has
-    classes, from one cached right map per element b of S,
-    r·b = (b^-1·r^-1)^-1: a long walk then caches the |S| maps, not one
-    row per class it visits.
+    the same classes as C_i·S, over the representatives r_i of a: from
+    the rows of the r_i, walked by :meth:`FiniteGroup.row_batches`, or,
+    when S has no more elements than a has classes, from the right maps
+    x ↦ x·b = (b^-1·x^-1)^-1 of the elements b of S.  Those maps are built
+    once per walk, on the first step that takes them, and kept by the step
+    only, so a long walk walks |S| rows, not one per class it visits.
     """
     cid, reps = G.conjugacy_classes()
     if len(reps) ** 2 <= CLASS_TABLE_FACTOR * G.order:
@@ -825,16 +839,18 @@ def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
     b_idx = np.flatnonzero(s[cid])
     inv, reps = G.inverses(), np.asarray(reps)
 
+    @cache
+    def right_maps() -> np.ndarray:
+        return inv[G.rows(inv[b_idx])[:, inv]]
+
     def step(a):
         hit = np.zeros(len(reps), dtype=bool)
         r = reps[a]
         if len(b_idx) <= len(r):
-            r = inv[r]
-            for b in inv[b_idx].tolist():
-                hit[cid[inv[G.row(b)[r]]]] = True
+            hit[cid[right_maps()[:, r]]] = True
         else:
-            for i in r.tolist():
-                hit[cid[G.row(i)[b_idx]]] = True
+            for _, rows in G.row_batches(r):
+                hit[cid[rows[:, b_idx]]] = True
         return hit
     return step
 
@@ -993,37 +1009,6 @@ def abelianization_invariants(G: FiniteGroup) -> tuple[int, ...]:
     return abelian_invariants(q)
 
 
-def surject_onto_prime_cyclic(G: FiniteGroup) -> tuple[int, np.ndarray]:
-    """A surjection from an abelian group onto Z/p, p its least prime divisor.
-
-    Returns ``(p, values)``: values[x] in {0..p-1}, a homomorphism onto Z/p.
-    The kernel is grown deterministically from {x^p : x in G} by repeatedly
-    adjoining the lowest-index outside element until the index drops to p.
-    """
-    if not G.is_abelian():
-        raise InputError("not_abelian", "prime-cyclic surjection needs abelian G")
-    if G.order == 1:
-        raise InputError("trivial_group", "no proper quotient of the trivial group")
-    p = _prime_factors(G.order)[0]
-    kernel = np.zeros(G.order, dtype=bool)
-    for x in range(G.order):
-        kernel[G.power(x, p)] = True
-    # in G / {x^p} every element has order dividing p, so each adjunction
-    # multiplies the subgroup order by exactly p
-    while G.order // int(kernel.sum()) > p:
-        a = int(np.nonzero(~kernel)[0][0])
-        kernel = G.subgroup_closure(np.flatnonzero(kernel).tolist() + [a])
-    assert G.order // int(kernel.sum()) == p
-    a0 = int(np.nonzero(~kernel)[0][0])
-    values = np.full(G.order, -1, dtype=np.int64)
-    shift = 0
-    for c in range(p):
-        values[G.row(shift)[kernel]] = c
-        shift = G.mul(shift, a0)
-    assert (values >= 0).all()
-    return p, values
-
-
 # --------------------------------------------------------------------------
 # reports
 
@@ -1031,10 +1016,9 @@ def surject_onto_prime_cyclic(G: FiniteGroup) -> tuple[int, np.ndarray]:
 def commutator_mask(G: FiniteGroup) -> np.ndarray:
     """The commutators [a, b] = a^-1·a^b: the union of the sets a^-1·cl(a)."""
     cid, _ = G.conjugacy_classes()
-    inv = G.inverses()
     comms = np.zeros(G.order, dtype=bool)
-    for a in range(G.order):
-        comms[G.row(int(inv[a]))[cid == cid[a]]] = True
+    for lo, rows in G.row_batches(G.inverses()):
+        comms[rows[cid[lo:lo + len(rows), None] == cid]] = True
     return comms
 
 
@@ -1042,7 +1026,9 @@ def commutator_width(G: FiniteGroup) -> int:
     """Least n with every element of [G,G] a product of n commutators."""
     comms = commutator_mask(G)
     derived = G.derived_mask()
-    assert (comms <= derived).all()
+    if not (comms <= derived).all():
+        raise PropertyFailure("search_exhausted",
+                              "a commutator lies outside [G, G]")
     # e = [a, a] is a commutator, so the powers grow until they reach [G, G]
     return next(n for n, cur in enumerate(power_walk(G, comms, comms), start=1)
                 if (derived <= cur).all())

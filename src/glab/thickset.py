@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import CapExceeded, InputError, PropertyFailure
 from .groupcore import (
-    ROW_BATCH,
     FiniteGroup,
     class_walk,
     is_subgroup_mask,
@@ -140,19 +139,16 @@ def _max_clique(adj: list[int], cap: int | None = None,
 def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> list[int]:
     """Sorted largest set of elements whose quotients a^-1 b all lie in M.
 
-    Builds the Cayley-graph adjacency "a^-1 b in M" from uncached rows,
-    ``ROW_BATCH`` entries at a time, searches it up to ``cap`` and
-    asserts the defining property on the returned witness.  When M is
+    Builds the Cayley-graph adjacency "a^-1 b in M" from the rows of the
+    inverses, walked by ``G.row_batches``, searches it up to ``cap`` and
+    replays the defining property on the returned witness.  When M is
     normal, conjugation fixes e and preserves the graph, so the search
     gets the conjugacy classes as its orbits.
     """
-    inv = G.inverses()
     adj = []
-    step = max(1, ROW_BATCH // G.order)
-    for lo in range(0, G.order, step):
-        a = np.arange(lo, min(lo + step, G.order))
-        inside = M[G.rows(inv[a])]  # inside[i, b] = (a_i^-1 b in M)
-        inside[np.arange(len(a)), a] = False
+    for lo, rows in G.row_batches(G.inverses()):
+        inside = M[rows]  # inside[i, b] = (a^-1 b in M) for a = lo + i
+        inside[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = False
         packed = np.packbits(inside, axis=1, bitorder="little")
         adj += [int.from_bytes(line.tobytes(), "little") for line in packed]
     orbit = None
@@ -165,7 +161,10 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> l
     witness = sorted(_max_clique(adj, cap, orbit))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
-            assert M[G.mul(G.inv(a), b)]
+            if not M[G.mul(G.inv(a), b)]:
+                raise PropertyFailure("search_exhausted",
+                                      "a clique quotient lies outside the set",
+                                      a=a, b=b)
     return witness
 
 
@@ -344,17 +343,16 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
       ANDed as bitmasks; the lowest bit left is the first candidate the
       loop over them would accept, and none is tried when the AND is 0.
     """
-    p_idx = [int(x) for x in np.nonzero(P)[0]]
-    if not p_idx:
+    p = np.flatnonzero(P)
+    if not len(p):
         raise InputError("invalid_parameters", "cannot cover with an empty set")
     n = G.order
     if cap is None:
         cap = n
     # column g of ``right`` is P*g, and x is covered by P*g iff g in P^-1 x,
     # which is column x of the rows of P^-1, sorted
-    inv = G.inverses()
-    right = np.stack([G.row(a) for a in p_idx])
-    covering = np.stack([G.row(int(inv[a])) for a in p_idx])
+    right = G.rows(p)
+    covering = G.rows(G.inverses()[p])
     covering.sort(axis=0)
     full = (1 << n) - 1
     cid = G.conjugacy_classes()[0] if P[0] and is_normal_mask(G, P) else None
@@ -404,7 +402,7 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
         uncovered = full
         while uncovered:
             depth = len(chosen)
-            if depth < limit and (limit - depth) * len(p_idx) >= uncovered.bit_count():
+            if depth < limit and (limit - depth) * len(p) >= uncovered.bit_count():
                 if depth and depth == limit - 1:
                     g = last_translate(uncovered)
                     if g is not None:
@@ -425,14 +423,16 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
             uncovered = parent & ~translate(g)
         return chosen
 
-    lower = -(-n // len(p_idx))
+    lower = -(-n // len(p))
     for m in range(lower, cap + 1):
         sol = cover(m)
         if sol is not None:
-            covered = 0
-            for g in sol:
-                covered |= translate(g)
-            assert covered == full
+            covered = np.zeros(n, dtype=bool)  # replayed on the rows of P
+            covered[right[:, sol]] = True
+            if not covered.all():
+                raise PropertyFailure("search_exhausted",
+                                      "the translates do not cover G",
+                                      translators=sol)
             return {"m": m, "translators": sol}
     raise CapExceeded("search_exhausted", f"no cover within {cap} translates",
                       cap=cap)
@@ -485,7 +485,9 @@ def normal_core_probe(G: FiniteGroup, cert: dict) -> dict:
     leaves = np.zeros(len(reps), dtype=bool)
     leaves[cid[~cert["mask"]]] = True
     core = ~leaves[cid]
-    assert is_subgroup_mask(G, core)
+    if not is_subgroup_mask(G, core):
+        raise PropertyFailure("search_exhausted",
+                              "the normal core is not a subgroup")
     return {
         "experimental": True,
         "certificate_m": cert["m"],

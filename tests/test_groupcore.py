@@ -2,11 +2,13 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glab import groupcore
 from glab.errors import CapExceeded, InputError
 from glab.groupcore import (
     AbSpec,
@@ -18,10 +20,12 @@ from glab.groupcore import (
     ball_mask,
     build_group,
     class_walk,
+    commutator_mask,
     commutator_width,
     derived_subgroup,
     element_text,
     inverse_mask,
+    is_normal_mask,
     is_subgroup_mask,
     is_symmetric_mask,
     mask_from_indices,
@@ -31,11 +35,10 @@ from glab.groupcore import (
     product_mask,
     quotient_projection,
     structure_report,
-    surject_onto_prime_cyclic,
 )
 from glab.chevalley import class_cube, regular_diagonals
 from glab.permfact import class_word_distance
-from glab.thickset import bounded_simplicity_degree, gn_set
+from glab.thickset import bounded_simplicity_degree, gn_set, thickness
 
 
 # -- enumeration is canonical: these orderings are load-bearing for witnesses
@@ -149,23 +152,6 @@ def test_abelianization(sym4, alt5):
     assert abelianization_invariants(alt5) == ()
 
 
-def test_surjection_onto_prime_cyclic(ab42):
-    p, values = surject_onto_prime_cyclic(ab42)
-    assert p == 2
-    kernel = [ab42.elements[i] for i in np.nonzero(values == 0)[0]]
-    assert kernel == [(0, 0), (0, 1), (2, 0), (2, 1)]
-    # the value table is a homomorphism onto Z/p
-    for a in range(ab42.order):
-        for b in range(ab42.order):
-            assert values[ab42.mul(a, b)] == (values[a] + values[b]) % p
-    assert set(values.tolist()) == {0, 1}
-
-
-def test_surjection_rejects_nonabelian(sym3):
-    with pytest.raises(InputError):
-        surject_onto_prime_cyclic(sym3)
-
-
 def test_commutator_width_abelian_edge(cyc6):
     assert commutator_width(cyc6) == 1  # derived subgroup {e}; e = [e,e]
 
@@ -213,15 +199,22 @@ def test_product_of_class_unions_matches_every_row(spec, data):
 
 
 def test_product_of_a_non_normal_set_takes_every_row(sym4, monkeypatch):
-    rows = []
-    row = sym4.row
-    monkeypatch.setattr(sym4, "row", lambda a: rows.append(a) or row(a))
+    """A non-normal product walks the rows of its smaller factor: of A
+    when |A| <= |B|, and of B^-1 when |A| > |B|."""
+    walked = []
+    rows = sym4.rows
+    monkeypatch.setattr(sym4, "rows",
+                        lambda e: walked.extend(e.tolist()) or rows(e))
     T = sym4.class_mask(1)  # the transpositions, a class
-    for A, B in [(mask_from_indices(sym4, [0, 1]), T),
-                 (T, mask_from_indices(sym4, [0, 1]))]:
-        rows.clear()
+    inv = sym4.inverses()
+    c = int(np.flatnonzero(inv != np.arange(sym4.order))[0])  # c^-1 != c
+    pair, other = mask_from_indices(sym4, [0, c]), mask_from_indices(sym4, [1, 3])
+    for A, B, want in [(pair, T, [0, c]),
+                       (T, pair, [0, int(inv[c])]),
+                       (pair, other, [0, c])]:
+        walked.clear()
         assert (product_mask(sym4, A, B) == _product_oracle(sym4, A, B)).all()
-        assert rows == np.flatnonzero(A).tolist()
+        assert walked == want
 
 
 @pytest.mark.parametrize("spec", ["Sym(4)", "SL(2,5)", "Quot(SL(2,7),center)",
@@ -266,7 +259,7 @@ def test_class_walks_keep_memory_bounded():
         assert class_cube(G, G.index[m])["cube_is_group"]
     assert len(list(power_walk(G, T, T))) > 1
     assert product_mask(G, T, T).any()
-    assert G._rows == {} and G._class_table is not None
+    assert G._class_table is not None
 
 
 def _row_per_class_walk(G, a, s):
@@ -303,12 +296,16 @@ def test_class_walk_through_right_maps(spec):
         assert np.array_equal(list(class_walk(G, a, s)), want)
 
 
-def test_a_long_class_walk_keeps_one_row():
-    """Cyc(3000) from 1 to 1500: one right map, where the row per class
-    step cached 1499 rows."""
+def test_a_long_class_walk_keeps_one_row(monkeypatch):
+    """Cyc(3000) from 1 to 1500: one right map, walked once, where the row
+    per class step walked 1499 rows."""
     G = build_group(parse_group_spec("Cyc(3000)"))
+    G.conjugacy_classes()  # walks the generator's row for the inverses
+    walked = []
+    row = G._tree.row
+    monkeypatch.setattr(G._tree, "row", lambda a: walked.append(a) or row(a))
     assert class_word_distance(G, 1, 1500) == {"k": 1500}
-    assert len(G._rows) <= 1
+    assert len(walked) <= 1
 
 
 def test_bounded_simplicity_degree_builds_one_row_per_class(monkeypatch):
@@ -321,6 +318,63 @@ def test_bounded_simplicity_degree_builds_one_row_per_class(monkeypatch):
     monkeypatch.setattr(G._tree, "row", lambda a: built.append(a) or row(a))
     assert bounded_simplicity_degree(G)["value"] == 3
     assert len(built) <= len(reps) == 12
+
+
+def _peak_mib(f) -> float:
+    """Peak traced allocation of f(), in MiB."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutator_width_walks_rows_in_batches():
+    """SL(2,13): the commutators come from batches of rows; keeping all
+    2,184 rows took 37 MiB."""
+    G = build_group(parse_group_spec("SL(2,13)"))
+    G.conjugacy_classes()
+    assert _peak_mib(lambda: commutator_width(G)) < 8
+
+
+def test_a_non_normal_power_walk_keeps_no_rows():
+    """The four powers of a seeded symmetric, non-normal set P of odd
+    permutations in Sym(7) walk at most |P| rows a step and keep none;
+    keeping the rows of every power took 184 MiB."""
+    G = build_group(parse_group_spec("Sym(7)"))
+    odd = np.flatnonzero(~G.derived_mask())
+    x = np.random.default_rng(5).choice(odd, 40, replace=False)
+    P = mask_from_indices(G, x) | mask_from_indices(G, G.inverses()[x])
+    assert not is_normal_mask(G, P)
+    walk = power_walk(G, P, P)
+    assert _peak_mib(lambda: [next(walk) for _ in range(4)]) < 16
+    assert next(walk, None) is None  # P^3 = P^5 = the odd permutations
+
+
+@pytest.mark.parametrize("spec", ["Alt(5)", "Cyc(24)", "SL(2,7)"])
+def test_row_batch_size_changes_no_result(spec, monkeypatch):
+    """One row per batch, or three, gives the class table, the thickness
+    witness, non-normal products and the commutators of the default batch."""
+    def results():
+        G = build_group(parse_group_spec(spec))
+        rng = np.random.default_rng(11)
+        inv = G.inverses()
+        Q = mask_from_indices(G, rng.choice(G.order, 6, replace=False))
+        P = ~(Q | Q[inv])
+        P[0] = True
+        A, B = (mask_from_indices(G, rng.choice(G.order, k, replace=False))
+                for k in (5, 9))
+        return (G.class_table(), thickness(G, P)["witness"],
+                product_mask(G, A, B), product_mask(G, B, A),
+                commutator_mask(G))
+
+    want = results()
+    order = build_group(parse_group_spec(spec)).order
+    for batch in (order, 3 * order):
+        monkeypatch.setattr(groupcore, "ROW_BATCH", batch)
+        for got, expected in zip(results(), want):
+            assert np.array_equal(got, expected)
 
 
 def test_ball_mask_levels(cyc6):

@@ -309,7 +309,6 @@ def test_row_batches_equal_stacked_rows(text, layered):
     assert (G.rows(starts[:2]) == stacked[:2]).all()
     assert (G.rows(starts) == stacked).all()
     assert G.rows(np.array([], dtype=np.int64)).shape == (0, G.order)
-    assert G._rows == {}
 
 
 def test_largest_sl2_under_the_cap_enumerates(hang_guard):
@@ -331,8 +330,9 @@ def test_largest_sl2_under_the_cap_enumerates(hang_guard):
 
 def test_kernel_checks_stay_checks_under_optimisation():
     """Under python -O the overflow guard of the mod-p kernel, the stacked
-    inverse check and the extension's order and identity checks still
-    raise their typed errors."""
+    inverse check, the extension's order and identity checks, the clique
+    and cover replays, the normal core check and the commutator check of
+    ``commutator_width`` still raise their typed errors."""
     src = os.path.dirname(os.path.dirname(groupcore.__file__))
     code = (
         "import numpy as np\n"
@@ -352,7 +352,19 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "extensions.build_group = real\n"
         "spec, E = extensions.build_extension(*extensions.carry_cocycle())\n"
         "wrong = groupcore.CocycleExtSpec(spec.p, spec.base, (1,) + spec.values[1:])\n"
-        "attempt(lambda: extensions.identity_inverse_check(E, wrong))\n")
+        "attempt(lambda: extensions.identity_inverse_check(E, wrong))\n"
+        "from glab import thickset\n"
+        "G = groupcore.build_group(groupcore.SymSpec(3))\n"
+        "everything = np.ones(G.order, dtype=bool)\n"
+        "thickset._max_clique = lambda adj, cap, orbit: [0, 1]\n"
+        "attempt(lambda: thickset.thickness(G, everything))\n"
+        "thickset._pack_bits = lambda arr: (1 << len(arr)) - 1\n"
+        "attempt(lambda: thickset.genericity(G, groupcore.mask_from_indices(G, [0, 1])))\n"
+        "T = G.class_mask(0) | G.class_mask(1)\n"
+        "cert = {'is_subgroup': True, 'mask': T, 'm': 1, 'power_order': 4}\n"
+        "attempt(lambda: thickset.normal_core_probe(G, cert))\n"
+        "groupcore.commutator_mask = lambda G: everything\n"
+        "attempt(lambda: groupcore.commutator_width(G))\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], text=True,
                          capture_output=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
@@ -360,4 +372,39 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "CapExceeded modulus_cap_exceeded int64 matrix products overflow at this modulus\n"
         "PropertyFailure search_exhausted stacked inverse must invert\n"
         "PropertyFailure search_exhausted extension order is not p·|H|\n"
-        "PropertyFailure search_exhausted extension identity is not (-h(e,e), e)\n")
+        "PropertyFailure search_exhausted extension identity is not (-h(e,e), e)\n"
+        "PropertyFailure search_exhausted a clique quotient lies outside the set\n"
+        "PropertyFailure search_exhausted the translates do not cover G\n"
+        "PropertyFailure search_exhausted the normal core is not a subgroup\n"
+        "PropertyFailure search_exhausted a commutator lies outside [G, G]\n")
+
+
+def test_benchmark_tracer_wraps_and_restores(monkeypatch):
+    """``benchmark/spans.py`` wraps glab functions and ``FiniteGroup``
+    methods by name: on Sym(4) it counts rows and products, and
+    ``remove`` puts every original back."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmark")
+    monkeypatch.syspath_prepend(bench)
+    import spans
+    from glab import thickset
+    owners = [m for name, m in sorted(sys.modules.items())
+              if name.split(".")[0] == "glab"] + [groupcore.FiniteGroup]
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert groupcore.product_mask is not before[owners.index(groupcore)][1][
+            "product_mask"]
+        G = build_group(parse_group_spec("Sym(4)"))
+        P = G.class_mask(0) | G.class_mask(1)
+        A = groupcore.mask_from_indices(G, [0, 1, 2])
+        groupcore.product_mask(G, A, P)
+        thickset.thickness(G, P)
+        thickset.genericity(G, P)
+        G.row(3)
+    finally:
+        tracer.remove()
+    assert tracer.counts["groupcore.row_calls"] > 0
+    assert tracer.counts["groupcore.product_mask_calls"] > 0
+    for owner, attrs in before:
+        assert all(vars(owner)[k] is v for k, v in attrs.items()), owner
