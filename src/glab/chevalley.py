@@ -27,14 +27,13 @@ import math
 
 import numpy as np
 
-from .errors import InputError, PropertyFailure
+from .errors import InputError, PropertyFailure, confirm
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SLSpec,
     _mul_mod,
     check_order,
-    class_walk,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -163,7 +162,7 @@ def unipotent_factor(m: Mat, n: int, p: int, sign: int = 1) -> list[tuple[Root, 
     negative roots (same order of their positive counterparts).  The
     returned list covers every root in order, including zero coefficients;
     multiplying the factors back in order reproduces ``m`` exactly, which
-    the function asserts before returning.
+    the function checks before returning.
     """
     if not _is_unitriangular(m, n, sign):
         raise InputError("not_unitriangular",
@@ -176,11 +175,11 @@ def unipotent_factor(m: Mat, n: int, p: int, sign: int = 1) -> list[tuple[Root, 
         coeffs.append(((i, j), s))
         if s:
             residual = mat_mul(x_elem(n, p, (i, j), -s), residual, n, p)
-    assert residual == mat_identity(n), "peeling must terminate at identity"
+    confirm(residual == mat_identity(n), "peeling must terminate at identity")
     check = mat_identity(n)
     for root, s in coeffs:
         check = mat_mul(check, x_elem(n, p, root, s), n, p)
-    assert check == m
+    confirm(check == m, "the root factors must multiply back to the matrix")
     return coeffs
 
 
@@ -233,9 +232,8 @@ def _x_stack(n: int, p: int, roots, s) -> np.ndarray:
 
 def _checked_inverse(x: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
     """``xi``, once x·xi = I is checked over the whole stack."""
-    if not (_mul_mod(x, xi, p) == np.eye(x.shape[-1], dtype=np.int64)).all():
-        raise PropertyFailure("search_exhausted", "stacked inverse must invert",
-                              p=p)
+    confirm((_mul_mod(x, xi, p) == np.eye(x.shape[-1], dtype=np.int64)).all(),
+            "stacked inverse must invert", p=p)
     return xi
 
 
@@ -366,7 +364,7 @@ def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
 
     Each pass recomputes the full residual, corrects the lowest nonzero
     height-layer coefficient-wise (the layer map acts diagonally there),
-    and asserts strict height progress; the fixpoint is verified exactly.
+    and checks strict height progress; the fixpoint is verified exactly.
     """
     if not is_regular(t, n, p):
         raise InputError("not_regular",
@@ -377,7 +375,7 @@ def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
     ti = mat_inverse(t, n, p)
     sol = mat_identity(n)
     last_height = 0
-    for _ in range(n):  # max height is n - 1; one extra pass asserts fixpoint
+    for _ in range(n):  # max height is n - 1; one extra pass checks the fixpoint
         value = _comm(t, sol, n, p) if sign > 0 else _comm(sol, ti, n, p)
         residual = mat_mul(mat_inverse(value, n, p), target, n, p)
         if residual == mat_identity(n):
@@ -385,7 +383,7 @@ def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
         layers = [(root, s) for root, s in unipotent_factor(residual, n, p, sign)
                   if s]
         h = min(abs(i - j) for (i, j), _ in layers)
-        assert h > last_height, "transport peeling must make height progress"
+        confirm(h > last_height, "transport peeling must make height progress")
         last_height = h
         for (i, j), s in layers:
             if abs(i - j) != h:
@@ -395,9 +393,7 @@ def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
             c = (s * pow(mult, -1, p)) % p
             sol = mat_mul(sol, x_elem(n, p, (i, j), c), n, p)
     final = _comm(t, sol, n, p) if sign > 0 else _comm(sol, ti, n, p)
-    if final != target:
-        raise PropertyFailure("search_exhausted",
-                              "transport solve failed to converge")
+    confirm(final == target, "transport solve failed to converge")
     return sol
 
 
@@ -438,7 +434,8 @@ def _ldu(m: Mat, n: int, p: int) -> tuple[Mat, Mat, Mat] | None:
     Lm = tuple(L[i][j] % p for i in range(n) for j in range(n))
     Dm = tuple(D[i] if i == j else 0 for i in range(n) for j in range(n))
     Um = tuple(U[i][j] % p for i in range(n) for j in range(n))
-    assert mat_mul(mat_mul(Lm, Dm, n, p), Um, n, p) == tuple(v % p for v in m)
+    confirm(mat_mul(mat_mul(Lm, Dm, n, p), Um, n, p) == tuple(v % p for v in m),
+            "L·D·U must multiply back to the matrix")
     return Lm, Dm, Um
 
 
@@ -466,7 +463,8 @@ def gauss_prescribed(G: FiniteGroup, g: int, t: int) -> dict:
             continue
         L, D, U = ldu
         if D == t_mat:
-            assert mat_mul(mat_mul(L, D, n, p), U, n, p) == m
+            confirm(mat_mul(mat_mul(L, D, n, p), U, n, p) == m,
+                    "L·D·U must multiply back to the conjugate")
             return {"x": x, "v": L, "t": D, "u": U, "conjugate": m}
     raise PropertyFailure("search_exhausted",
                           "no conjugate has the prescribed diagonal",
@@ -481,7 +479,8 @@ def class_cube(G: FiniteGroup, t: int) -> dict:
     """Powers of the conjugacy class of a regular element.
 
     Checks C^2 covers G minus the center and C^3 covers G, recording the
-    least power whose class product reaches all of G.
+    least power whose class product reaches all of G, read from the
+    group's power walk of C (:meth:`FiniteGroup.class_walk_of`).
     """
     spec = G.spec
     if not isinstance(spec, SLSpec):
@@ -491,17 +490,12 @@ def class_cube(G: FiniteGroup, t: int) -> dict:
     C = G.class_mask(t)
     C2 = product_mask(G, C, C)
     C3 = product_mask(G, C2, C)
-    # the walk stops before a repeat, so None means C^k never covers G
-    cid, reps = G.conjugacy_classes()
-    cls = np.arange(len(reps)) == cid[t]
-    walk = class_walk(G, cls, cls)
-    min_power = next((k for k, cur in enumerate(walk, start=1) if cur.all()),
-                     None)
+    # the walk stops at a repeat, so None means C^k never covers G
     return {
         "class_size": int(C.sum()),
         "square_covers_complement": bool((C2 | G.center_mask()).all()),
         "cube_is_group": bool(C3.all()),
-        "min_power": min_power,
+        "min_power": G.class_walk_of("power", int(G.conjugacy_classes()[0][t])).full,
     }
 
 
@@ -574,6 +568,6 @@ def regular_sequence(family: str, rank: int, p: int, m: int) -> dict:
         for j in range(m):
             if i != j:
                 q = mat_mul(elements[i], mat_inverse(elements[j], n, p), n, p)
-                assert is_regular(q, n, p)
+                confirm(is_regular(q, n, p), "a pairwise quotient is not regular")
     return {"s": s, "order": d, "lam": list(lam), "weights": weights,
             "elements": elements}

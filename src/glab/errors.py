@@ -6,7 +6,7 @@ CLI reports and exit-code mapping) plus a human message.  Three categories:
 * :class:`InputError`    -- caller handed us something malformed (CLI exit 2)
 * :class:`CapExceeded`   -- an explicit resource cap stopped the run (exit 3)
 * :class:`PropertyFailure` -- a checked mathematical property does not hold
-  where the caller demanded success (exit 1)
+  where the caller demanded success (exit 1); :func:`confirm` raises it
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ class CapExceeded(ToolkitError):
 
 class PropertyFailure(ToolkitError):
     pass
+
+
+def confirm(holds: bool, message: str, **details) -> None:
+    """A claim checked on the spot: a ``PropertyFailure`` unless it holds,
+    which ``python -O`` keeps, where it strips an ``assert``."""
+    if not holds:
+        raise PropertyFailure("search_exhausted", message, **details)
 
 
 class SpecSyntaxError(InputError):

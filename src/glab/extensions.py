@@ -14,7 +14,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, PropertyFailure
+from .errors import CapExceeded, InputError, confirm
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     CocycleExtSpec,
@@ -85,9 +85,8 @@ def build_extension(base_spec: GroupSpec, p: int, table,
     spec = CocycleExtSpec(p=p, base=base_spec,
                           values=tuple(int(v) for v in h.reshape(-1)))
     E = build_group(spec, cap=cap)
-    if E.order != p * base.order:
-        raise PropertyFailure("search_exhausted", "extension order is not p·|H|",
-                              order=E.order, expected=p * base.order)
+    confirm(E.order == p * base.order, "extension order is not p·|H|",
+            order=E.order, expected=p * base.order)
     return spec, E
 
 
@@ -104,21 +103,17 @@ def identity_inverse_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
     h11 = int(h[0, 0])
     p = spec.p
     ident = ((-h11) % p, base.elements[0])
-    if E.elements[0] != ident:
-        raise PropertyFailure("search_exhausted",
-                              "extension identity is not (-h(e,e), e)",
-                              element=0)
+    confirm(E.elements[0] == ident, "extension identity is not (-h(e,e), e)",
+            element=0)
     checked = 0
     for g in range(E.order):
         a, xf = E.elements[g]
         xi = base.index[xf]
         xinv = base.inv(xi)
         pred_inv = ((-a - int(h[xi, xinv]) - h11) % p, base.elements[xinv])
-        if E.mul_form(ident, E.elements[g]) != E.elements[g] \
-                or E.mul_form(E.elements[g], pred_inv) != ident:
-            raise PropertyFailure("search_exhausted",
-                                  "identity/inverse formula violated",
-                                  element=g)
+        confirm(E.mul_form(ident, E.elements[g]) == E.elements[g]
+                and E.mul_form(E.elements[g], pred_inv) == ident,
+                "identity/inverse formula violated", element=g)
         checked += 1
     from .groupcore import form_to_text
     return {"order": E.order, "identity": form_to_text(spec, ident),
@@ -297,10 +292,8 @@ def commutator_expansion_check(G: FiniteGroup, count: int = 10_000,
         f3 = G.conj(a2, G.conj(b2, b1))
         f4 = G.comm(b1, b2)
         rhs = G.mul(G.mul(G.mul(f1, f2), f3), f4)
-        if lhs != rhs:
-            raise PropertyFailure("search_exhausted",
-                                  "commutator expansion violated",
-                                  quadruple=[a1, b1, a2, b2])
+        confirm(lhs == rhs, "commutator expansion violated",
+                quadruple=[a1, b1, a2, b2])
         checked += 1
     return {"checked": checked, "violations": 0}
 

@@ -33,10 +33,10 @@ normal closures through one closure loop, :func:`is_subgroup_mask`,
 :func:`is_normal_mask`, commutators, quotient cosets as orbits) uses only
 rows, the inverse array and class ids.  A union of conjugacy classes is
 also a class vector, one boolean per class, and a product of two such
-unions is one too.  :func:`class_walk` takes the powers of class vectors
-from :meth:`FiniteGroup.class_table`, the support of the class-algebra
-structure constants, so the walks of class balls, class powers and
-covering numbers cost c booleans a step and cache no Cayley row.
+unions is one too.  Walks on class vectors step through
+:meth:`FiniteGroup.class_table`, the support of the class-algebra
+structure constants, at c booleans a step; a group with that table keeps
+one :class:`ClassWalk` per class power and class ball and never re-walks it.
 
 Group specs, element texts and the CLI's subset expressions share three
 readers: a bracket splitter (at most ``MAX_NESTING`` deep, so no input
@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, PropertyFailure, SpecSyntaxError
+from .errors import CapExceeded, InputError, SpecSyntaxError, confirm
 
 DEFAULT_ORDER_CAP = 100_000
 ROW_BATCH = 1 << 18  # Cayley-row entries walked at once, 2 MB of int64
@@ -557,6 +557,7 @@ class FiniteGroup:
         self._conj: np.ndarray | None = None
         self._classes = None
         self._class_table: np.ndarray | None = None
+        self._class_walks: dict = {"power": {}, "ball": {}}
         self._center: np.ndarray | None = None
         self._derived: np.ndarray | None = None
 
@@ -659,6 +660,30 @@ class FiniteGroup:
                 T[i[:, None], cid, cid[rows]] = True
             self._class_table = T
         return self._class_table
+
+    def class_walk_of(self, kind: str, i: int, limit: float = math.inf,
+                      target: int | None = None) -> ClassWalk:
+        """The walk {e}, S, S², ... for S = C_i (kind "power") or
+        S = C_i ∪ C_i^-1 ∪ {e} (kind "ball": its n-th state is the class
+        ball (C_i ∪ C_i^-1)^{<=n}), advanced to ``limit`` steps or to
+        class ``target`` (:meth:`ClassWalk.advance`).  A group with a class
+        table keeps its walks, one per power and per class-inverse pair of
+        balls, and goes on from where the last call stopped; a larger
+        group walks afresh and keeps none.
+        """
+        walk = self._class_walks[kind].get(i)
+        if walk is not None and walk.stopped(limit, target):
+            return walk
+        cid, reps = self.conjugacy_classes()
+        classes = [i, int(cid[self.inverses()[reps[i]]])] if kind == "ball" else [i]
+        s = np.zeros(len(reps), dtype=bool)
+        s[classes] = True
+        s[0] |= kind == "ball"
+        walk = walk or ClassWalk(len(reps))
+        walk.advance(_class_step(self, s), limit, target)
+        if self._class_table is not None:  # built by the steps of a table-sized group
+            self._class_walks[kind].update(dict.fromkeys(classes, walk))
+        return walk
 
     def class_mask(self, a: int) -> np.ndarray:
         cid, _ = self.conjugacy_classes()
@@ -823,7 +848,10 @@ def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
 
     A group with c^2 <= CLASS_TABLE_FACTOR·|G| takes it from its class
     table: M[i, k] = class k meets C_i·S, and a·s is the union of the
-    rows M[i] over the classes i of a.  A larger group (an abelian one has
+    rows M[i] over the classes i of a.  M is a view of the table when S
+    is one class; when S has two or three (a class ball's step), each step
+    gathers the table at a's and S's classes instead, at no more cost than
+    building M.  A larger group (an abelian one has
     c = |G|) builds no table and takes the classes of r_i·S, which meets
     the same classes as C_i·S, over the representatives r_i of a: from
     the rows of the r_i, walked by :meth:`FiniteGroup.row_batches`, or,
@@ -834,7 +862,10 @@ def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
     """
     cid, reps = G.conjugacy_classes()
     if len(reps) ** 2 <= CLASS_TABLE_FACTOR * G.order:
-        M = G.class_table()[:, s].any(axis=1)
+        T, s_idx = G.class_table(), np.flatnonzero(s)
+        if 1 < len(s_idx) <= 3:
+            return lambda a: T[np.flatnonzero(a)[:, None], s_idx].any(axis=(0, 1))
+        M = T[:, s_idx[0]] if len(s_idx) == 1 else T[:, s].any(axis=1)
         return lambda a: M[a].any(axis=0)
     b_idx = np.flatnonzero(s[cid])
     inv, reps = G.inverses(), np.asarray(reps)
@@ -863,6 +894,50 @@ def _walk(cur: np.ndarray, step: Callable):
         seen.add(key)
         yield cur
         cur = step(cur)
+
+
+class ClassWalk:
+    """The walk {e}, S, S², ... of a class vector S, taken only as far as
+    callers ask (:meth:`FiniteGroup.class_walk_of`): ``k`` steps are taken
+    and ``state`` is S^k; ``done`` says that S^(k+1) repeats an earlier
+    state; ``full`` is the least k whose state is every class, where the
+    walk stops, or None.  It holds the states passed, one byte a class,
+    for the repeat test and for :meth:`first`, but no step and no group,
+    so a dropped group is freed at once.
+    """
+
+    __slots__ = ("k", "done", "full", "_seen")
+
+    def __init__(self, c: int):
+        self.k, self.done, self.full = 0, False, 0 if c == 1 else None
+        self._seen = {(np.arange(c) == 0).tobytes(): None}  # the states, in order
+
+    @property
+    def state(self) -> np.ndarray:
+        return np.frombuffer(next(reversed(self._seen)), dtype=bool)
+
+    def first(self, l: int) -> int | None:
+        """The least k whose state meets class l, or None while none has."""
+        return next((k for k, state in enumerate(self._seen) if state[l]), None)
+
+    def stopped(self, limit: float, target: int | None) -> bool:
+        """Over, ``limit`` steps long, all of G (for good) or at ``target``?"""
+        return (self.done or self.k >= limit or self.full is not None
+                or (target is not None and self.first(target) is not None))
+
+    def advance(self, step: Callable, limit: float, target: int | None) -> None:
+        """Take steps a ↦ step(a) until :meth:`stopped` holds."""
+        cur, stop = self.state, self.stopped(limit, target)
+        while not stop:
+            cur = step(cur)
+            key = cur.tobytes()
+            self.done = stop = key in self._seen
+            if not stop:
+                self._seen[key] = None
+                self.k += 1
+                self.full = self.k if b"\0" not in key else None
+                stop = (self.k >= limit or self.full is not None
+                        or (target is not None and key[target]))
 
 
 def class_walk(G: FiniteGroup, a: np.ndarray, s: np.ndarray):
@@ -977,7 +1052,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
         while True:
             cnt = sum(1 for x in range(G.order) if G.power(x, p**k) == 0)
             e = round(math.log(cnt, p))
-            assert p**e == cnt, "order-dividing count must be a p-power"
+            confirm(p**e == cnt, "order-dividing count must be a p-power")
             logs.append(e)
             if e == logs[-2]:
                 break
@@ -1026,9 +1101,7 @@ def commutator_width(G: FiniteGroup) -> int:
     """Least n with every element of [G,G] a product of n commutators."""
     comms = commutator_mask(G)
     derived = G.derived_mask()
-    if not (comms <= derived).all():
-        raise PropertyFailure("search_exhausted",
-                              "a commutator lies outside [G, G]")
+    confirm((comms <= derived).all(), "a commutator lies outside [G, G]")
     # e = [a, a] is a commutator, so the powers grow until they reach [G, G]
     return next(n for n, cur in enumerate(power_walk(G, comms, comms), start=1)
                 if (derived <= cur).all())

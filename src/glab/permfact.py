@@ -22,14 +22,13 @@ from itertools import chain, islice, permutations
 
 import numpy as np
 
-from .errors import InputError, PropertyFailure
+from .errors import InputError, PropertyFailure, confirm
 from .groupcore import (
     AltSpec,
     FiniteGroup,
     SymSpec,
     _cycles_of,
     _require,
-    class_walk,
     is_normal_mask,
     is_symmetric_mask,
     perm_compose,
@@ -72,9 +71,7 @@ def cycle_quotient(n: int, x: int, a: tuple[int, ...], b: tuple[int, ...]) -> di
     lhs = perm_compose(perm_inverse(cycle_perm(n, (x,) + tuple(a))),
                        cycle_perm(n, (x,) + tuple(b)))
     rhs = cycle_perm(n, (x,) + tuple(b) + tuple(reversed(a)))
-    if lhs != rhs:
-        raise PropertyFailure("search_exhausted", "quotient identity violated",
-                              x=x, a=a, b=b)
+    confirm(lhs == rhs, "quotient identity violated", x=x, a=a, b=b)
     return {"result": rhs, "text": perm_to_text(rhs)}
 
 
@@ -92,9 +89,7 @@ def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
                        cycle_perm(n, (x, y) + tuple(b)))
     rhs = perm_compose(cycle_perm(n, (x,) + tuple(a)),
                        cycle_perm(n, (y,) + tuple(b)))
-    if lhs != rhs:
-        raise PropertyFailure("search_exhausted", "merge identity violated",
-                              x=x, y=y, a=a, b=b)
+    confirm(lhs == rhs, "merge identity violated", x=x, y=y, a=a, b=b)
     return {"result": lhs, "text": perm_to_text(lhs)}
 
 
@@ -435,10 +430,8 @@ def express_even(G: FiniteGroup, P: np.ndarray, sigma: int,
 def _checked_factors(G: FiniteGroup, q1: int, q2: int,
                      sigma: int) -> tuple[int, int]:
     """(q1, q2), once q1 * q2 = sigma is checked."""
-    if G.mul(q1, q2) != sigma:
-        raise PropertyFailure("search_exhausted",
-                              "the factors do not multiply to sigma",
-                              q1=q1, q2=q2, sigma=sigma)
+    confirm(G.mul(q1, q2) == sigma, "the factors do not multiply to sigma",
+            q1=q1, q2=q2, sigma=sigma)
     return q1, q2
 
 
@@ -446,9 +439,9 @@ def class_word_distance(G: FiniteGroup, sigma: int, tau: int,
                         cap: int | None = None) -> dict:
     """Least k with tau a product of k conjugates of sigma (k = 0 for e).
 
-    Walks the class powers C, C^2, ...; None when tau is unreachable
-    (e.g. across a parity obstruction) or not reached within ``cap`` >= 1
-    steps.
+    Reads C, C^2, ... off the group's power walk of sigma's class C
+    (:meth:`FiniteGroup.class_walk_of`); None when tau is unreachable
+    (e.g. across a parity obstruction) or not reached within ``cap`` >= 1.
     """
     if cap is not None and cap < 1:
         raise InputError("invalid_parameters", "the cap must be at least 1",
@@ -460,11 +453,7 @@ def class_word_distance(G: FiniteGroup, sigma: int, tau: int,
         return {"k": 0}
     if cap is None:
         cap = G.order
-    cid, reps = G.conjugacy_classes()
-    C = np.arange(len(reps)) == cid[sigma]
-    for k, cur in enumerate(class_walk(G, C, C), start=1):
-        if k > cap:
-            break
-        if cur[cid[tau]]:
-            return {"k": k}
-    return {"k": None}
+    cid, _ = G.conjugacy_classes()
+    t = int(cid[tau])
+    k = G.class_walk_of("power", int(cid[sigma]), cap, t).first(t)
+    return {"k": k if k is not None and k <= cap else None}

@@ -36,10 +36,9 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, PropertyFailure
+from .errors import CapExceeded, InputError, confirm
 from .groupcore import (
     FiniteGroup,
-    class_walk,
     is_subgroup_mask,
     is_normal_mask,
     is_symmetric_mask,
@@ -161,10 +160,8 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> l
     witness = sorted(_max_clique(adj, cap, orbit))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
-            if not M[G.mul(G.inv(a), b)]:
-                raise PropertyFailure("search_exhausted",
-                                      "a clique quotient lies outside the set",
-                                      a=a, b=b)
+            confirm(M[G.mul(G.inv(a), b)],
+                    "a clique quotient lies outside the set", a=a, b=b)
     return witness
 
 
@@ -429,10 +426,8 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
         if sol is not None:
             covered = np.zeros(n, dtype=bool)  # replayed on the rows of P
             covered[right[:, sol]] = True
-            if not covered.all():
-                raise PropertyFailure("search_exhausted",
-                                      "the translates do not cover G",
-                                      translators=sol)
+            confirm(covered.all(), "the translates do not cover G",
+                    translators=sol)
             return {"m": m, "translators": sol}
     raise CapExceeded("search_exhausted", f"no cover within {cap} translates",
                       cap=cap)
@@ -485,9 +480,7 @@ def normal_core_probe(G: FiniteGroup, cert: dict) -> dict:
     leaves = np.zeros(len(reps), dtype=bool)
     leaves[cid[~cert["mask"]]] = True
     core = ~leaves[cid]
-    if not is_subgroup_mask(G, core):
-        raise PropertyFailure("search_exhausted",
-                              "the normal core is not a subgroup")
+    confirm(is_subgroup_mask(G, core), "the normal core is not a subgroup")
     return {
         "experimental": True,
         "certificate_m": cert["m"],
@@ -526,67 +519,21 @@ def image_thickness_check(Q: FiniteGroup, Z: np.ndarray) -> dict:
 
 
 # --------------------------------------------------------------------------
-# power covers and class balls
-
-
-def power_cover(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
-    """Least n with P^n = G, or None with the stabilized union of powers.
-
-    The power walk stops at the first repeated power (e.g. for
-    parity-alternating sets); the union of all powers seen is the closure
-    under the generated subsemigroup.
-    """
-    if cap is None:
-        cap = 4 * G.order + 4
-    if P.sum() == 0:
-        return {"n": None, "cycle": False, "closure_order": 0}
-    closure = np.zeros(G.order, dtype=bool)
-    for k, cur in enumerate(power_walk(G, P, P), start=1):
-        if k > cap:
-            raise CapExceeded("search_exhausted", f"no cover after {cap} powers",
-                              cap=cap)
-        if cur.all():
-            return {"n": k, "cycle": False, "closure_order": G.order}
-        closure |= cur
-    return {"n": None, "cycle": True, "closure_order": int(closure.sum())}
-
-
-def _ball_source(G: FiniteGroup, g: int) -> np.ndarray:
-    """cl(g) union cl(g^-1) as a class vector."""
-    cid, reps = G.conjugacy_classes()
-    source = np.zeros(len(reps), dtype=bool)
-    source[[cid[g], cid[G.inv(g)]]] = True
-    return source
+# class balls
 
 
 def gn_set(G: FiniteGroup, N: int) -> np.ndarray:
     """Elements whose symmetrized class N-ball already covers the group.
 
     g qualifies iff (cl(g) ∪ cl(g^-1))^{<=N} = G with the 0-ball = {e}.
-    Constant on classes and inverse-closed, so evaluated once per
-    class-inverse pair, on class vectors.
+    Constant on classes, so read per class off the group's ball walk of
+    the class-inverse pair (:meth:`FiniteGroup.class_walk_of`).
     """
     if N < 0:
         raise InputError("invalid_parameters", "ball radius must be >= 0")
     cid, reps = G.conjugacy_classes()
-    e = np.arange(len(reps)) == 0  # the class of the identity
-    out = np.zeros(len(reps), dtype=bool)
-    done = np.zeros(len(reps), dtype=bool)
-    for i, r in enumerate(reps):
-        if done[i]:
-            continue
-        source = _ball_source(G, r)
-        done |= source
-        # the N-ball is the walk from {e} with step source ∪ {e}, N steps
-        # or until it stops growing
-        for k, ball in enumerate(class_walk(G, e, source | e)):
-            if k >= N:
-                break
-        if ball.all():
-            # the class and its inverse class share the source set, so they
-            # qualify together
-            out |= source
-    return out[cid]
+    full = [G.class_walk_of("ball", i, N).full for i in range(len(reps))]
+    return np.array([f is not None and f <= N for f in full])[cid]
 
 
 def gn_product_check(G: FiniteGroup, H: FiniteGroup, product: FiniteGroup,
@@ -618,23 +565,12 @@ def gn_product_check(G: FiniteGroup, H: FiniteGroup, product: FiniteGroup,
             "size_expected": int(expected.sum()), "counterexample": counter}
 
 
-def gn_image_check(Q: FiniteGroup, N: int) -> dict:
-    """Epimorphic image law: f[gn_set(G, N)] ⊆ gn_set(Q, N)."""
-    parent = Q._model.parent
-    proj = quotient_projection(Q)
-    src = gn_set(parent, N)
-    img = np.zeros(Q.order, dtype=bool)
-    img[proj[np.nonzero(src)[0]]] = True
-    tgt = gn_set(Q, N)
-    return {"holds": bool((img <= tgt).all()),
-            "image_size": int(img.sum()), "target_size": int(tgt.sum())}
-
-
 def bounded_simplicity_degree(G: FiniteGroup, cap: int | None = None) -> dict:
     """Worst-case class-ball radius needed to cover G, or a stuck witness.
 
-    For every noncentral class, grows (cl ∪ cl^-1)^{<=n} until it covers G
-    or stabilizes short; a stabilizing class yields value None plus the
+    For every noncentral class, grows (cl ∪ cl^-1)^{<=n}, the group's ball
+    walk (:meth:`FiniteGroup.class_walk_of`), until it covers G or
+    stabilizes short; a stabilizing class yields value None plus the
     lowest-index witness element whose ball is stuck below |G|.
     """
     if cap is None:
@@ -644,26 +580,20 @@ def bounded_simplicity_degree(G: FiniteGroup, cap: int | None = None) -> dict:
     if all(center[r] for r in reps):
         raise InputError("degenerate_abelian",
                          "all classes are central; no class ball can move")
-    worst = 0
     per_class = []
-    for r in reps:
+    for i, r in enumerate(reps):
         if center[r]:
             continue
-        # the n-ball is (source ∪ {e})^n
-        step = _ball_source(G, r)
-        step[0] = True
-        for n, cur in enumerate(class_walk(G, step, step), start=1):
-            if n > cap:
-                raise CapExceeded("search_exhausted",
-                                  f"ball radius exceeded {cap}", cap=cap)
-            if cur.all():
-                break
-        else:
+        walk = G.class_walk_of("ball", i, cap + 1)
+        if walk.full is None and walk.done and walk.k <= cap:
             return {"value": None, "witness": int(r),
-                    "stabilized_order": int(np.bincount(cid)[cur].sum())}
-        per_class.append({"rep": int(r), "radius": n})
-        worst = max(worst, n)
-    return {"value": worst, "witness": None, "per_class": per_class}
+                    "stabilized_order": int(np.bincount(cid)[walk.state].sum())}
+        if walk.full is None or walk.full > cap:
+            raise CapExceeded("search_exhausted",
+                              f"ball radius exceeded {cap}", cap=cap)
+        per_class.append({"rep": int(r), "radius": walk.full})
+    return {"value": max(pc["radius"] for pc in per_class), "witness": None,
+            "per_class": per_class}
 
 
 def covering_number(G: FiniteGroup) -> dict:
@@ -671,6 +601,7 @@ def covering_number(G: FiniteGroup) -> dict:
 
     Only defined for simple nonabelian groups, which is verified first:
     the normal closure of every nontrivial class must be the whole group.
+    Each n is read off the group's power walk of C.
     """
     cid, reps = G.conjugacy_classes()
     if G.is_abelian() or G.order == 1:
@@ -679,19 +610,12 @@ def covering_number(G: FiniteGroup) -> dict:
         if not G.normal_closure_mask(G.class_mask(r)).all():
             raise InputError("not_simple_nonabelian",
                              f"class of element {r} generates a proper normal subgroup")
-    worst = 0
     per_class = []
     for i, r in enumerate(reps[1:], start=1):
-        C = np.arange(len(reps)) == i
-        for n, cur in enumerate(class_walk(G, C, C), start=1):
-            if cur.all():
-                break
-        else:
-            raise PropertyFailure("search_exhausted",
-                                  "class powers cycled below G")
+        n = G.class_walk_of("power", i).full
+        confirm(n is not None, "class powers cycled below G")
         per_class.append({"rep": int(r), "power": n})
-        worst = max(worst, n)
-    return {"value": worst, "per_class": per_class}
+    return {"value": max(pc["power"] for pc in per_class), "per_class": per_class}
 
 
 def spread_length(G: FiniteGroup, S: np.ndarray, cap: int | None = None) -> dict:

@@ -331,8 +331,11 @@ def test_largest_sl2_under_the_cap_enumerates(hang_guard):
 def test_kernel_checks_stay_checks_under_optimisation():
     """Under python -O the overflow guard of the mod-p kernel, the stacked
     inverse check, the extension's order and identity checks, the clique
-    and cover replays, the normal core check and the commutator check of
-    ``commutator_width`` still raise their typed errors."""
+    and cover replays, the normal core check, the commutator check of
+    ``commutator_width``, the root-factor peeling and recomposition, the
+    transport's height progress, both L·D·U recompositions, the regular
+    sequence's quotients and the p-power count of ``abelian_invariants``
+    still raise their typed errors."""
     src = os.path.dirname(os.path.dirname(groupcore.__file__))
     code = (
         "import numpy as np\n"
@@ -364,7 +367,28 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "cert = {'is_subgroup': True, 'mask': T, 'm': 1, 'power_order': 4}\n"
         "attempt(lambda: thickset.normal_core_probe(G, cert))\n"
         "groupcore.commutator_mask = lambda G: everything\n"
-        "attempt(lambda: groupcore.commutator_width(G))\n")
+        "attempt(lambda: groupcore.commutator_width(G))\n"
+        "x_elem, mat_mul = chevalley.x_elem, chevalley.mat_mul\n"
+        "chevalley.x_elem = lambda n, p, r, s: groupcore.mat_identity(n)\n"
+        "attempt(lambda: chevalley.unipotent_factor((1, 1, 0, 1), 2, 5))\n"
+        "chevalley.x_elem = lambda n, p, r, s: x_elem(n, p, r, s if s < 0 else 2 * s)\n"
+        "attempt(lambda: chevalley.unipotent_factor((1, 1, 0, 1), 2, 5))\n"
+        "chevalley.x_elem = x_elem\n"
+        "chevalley.root_value = lambda t, r, n, p: 0\n"
+        "t3 = chevalley.regular_diagonals(3, 5)[0]\n"
+        "attempt(lambda: chevalley.transport_into_opposite(3, 5, t3, (1, 0, 0, 1, 1, 0, 1, 1, 1)))\n"
+        "chevalley.mat_mul = lambda a, b, n, p: a\n"
+        "attempt(lambda: chevalley._ldu((2, 1, 1, 1), 2, 5))\n"
+        "chevalley.mat_mul = mat_mul\n"
+        "S = groupcore.build_group(groupcore.SLSpec(2, 5))\n"
+        "t = chevalley.regular_diagonals(2, 5)[0]\n"
+        "chevalley._ldu = lambda m, n, p: ((1, 0, 0, 1), t, (1, 0, 0, 1))\n"
+        "attempt(lambda: chevalley.gauss_prescribed(S, S.index[(1, 1, 0, 1)], S.index[t]))\n"
+        "chevalley.is_regular = lambda q, n, p: False\n"
+        "attempt(lambda: chevalley.regular_sequence('A', 1, 7, 2))\n"
+        "C = groupcore.build_group(groupcore.CycSpec(6))\n"
+        "C.power = lambda x, k: 0\n"
+        "attempt(lambda: groupcore.abelian_invariants(C))\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], text=True,
                          capture_output=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
@@ -376,7 +400,28 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "PropertyFailure search_exhausted a clique quotient lies outside the set\n"
         "PropertyFailure search_exhausted the translates do not cover G\n"
         "PropertyFailure search_exhausted the normal core is not a subgroup\n"
-        "PropertyFailure search_exhausted a commutator lies outside [G, G]\n")
+        "PropertyFailure search_exhausted a commutator lies outside [G, G]\n"
+        "PropertyFailure search_exhausted peeling must terminate at identity\n"
+        "PropertyFailure search_exhausted the root factors must multiply back to the matrix\n"
+        "PropertyFailure search_exhausted transport peeling must make height progress\n"
+        "PropertyFailure search_exhausted L·D·U must multiply back to the matrix\n"
+        "PropertyFailure search_exhausted L·D·U must multiply back to the conjugate\n"
+        "PropertyFailure search_exhausted a pairwise quotient is not regular\n"
+        "PropertyFailure search_exhausted order-dividing count must be a p-power\n")
+
+
+def test_class_balls_workload_round_passes_its_checks(monkeypatch):
+    """One round of ``benchmark/``'s class-balls workload through its
+    harness: no job fails and the workload's checks find no problem, so
+    renaming a function it calls fails here and not only in the benchmark."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmark")
+    monkeypatch.syspath_prepend(bench)
+    import harness
+    import wl_classballs
+    from common import Failed
+    out = harness.run_round(wl_classballs, 1)
+    assert [k for k, v in out.outputs.items() if isinstance(v, Failed)] == []
+    assert wl_classballs.check(out.state, out.outputs, 1) == []
 
 
 def test_benchmark_tracer_wraps_and_restores(monkeypatch):

@@ -12,11 +12,14 @@ import glab.thickset as thickset
 from glab.errors import CapExceeded, InputError
 from glab.groupcore import (
     CycSpec,
+    FiniteGroup,
     build_group,
     inverse_mask,
     mask_from_indices,
     parse_element,
     parse_group_spec,
+    power_walk,
+    quotient_projection,
 )
 from glab.thickset import (
     _max_clique,
@@ -25,12 +28,10 @@ from glab.thickset import (
     covering_number,
     generic_subgroup_certificate,
     genericity,
-    gn_image_check,
     gn_product_check,
     gn_set,
     image_thickness_check,
     normal_core_probe,
-    power_cover,
     preimage_thickness_check,
     ramsey_bound,
     ramsey_two_colorings_forced,
@@ -719,6 +720,29 @@ def test_image_thickness_monotone(cyc12):
 # -- power covers
 
 
+def power_cover(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
+    """Least n with P^n = G, or None with the stabilized union of powers;
+    no library code calls it, and it stays here as a check of power_walk.
+
+    The power walk stops at the first repeated power (e.g. for
+    parity-alternating sets); the union of all powers seen is the closure
+    under the generated subsemigroup.
+    """
+    if cap is None:
+        cap = 4 * G.order + 4
+    if P.sum() == 0:
+        return {"n": None, "cycle": False, "closure_order": 0}
+    closure = np.zeros(G.order, dtype=bool)
+    for k, cur in enumerate(power_walk(G, P, P), start=1):
+        if k > cap:
+            raise CapExceeded("search_exhausted", f"no cover after {cap} powers",
+                              cap=cap)
+        if cur.all():
+            return {"n": k, "cycle": False, "closure_order": G.order}
+        closure |= cur
+    return {"n": None, "cycle": True, "closure_order": int(closure.sum())}
+
+
 def test_power_cover(sym3):
     transpositions = sym3.class_mask(1)
     assert power_cover(sym3, transpositions) == {
@@ -790,6 +814,19 @@ def test_gn_product_containment_direction(alt5, sym3, a5xs3):
         for i in np.nonzero(gn_p)[0]:
             fg, fh = a5xs3.elements[int(i)]
             assert gn_g[alt5.index[fg]] and gn_h[sym3.index[fh]]
+
+
+def gn_image_check(Q: FiniteGroup, N: int) -> dict:
+    """Epimorphic image law: f[gn_set(G, N)] ⊆ gn_set(Q, N), a check of
+    :func:`gn_set` on a quotient and its parent."""
+    parent = Q._model.parent
+    proj = quotient_projection(Q)
+    src = gn_set(parent, N)
+    img = np.zeros(Q.order, dtype=bool)
+    img[proj[np.nonzero(src)[0]]] = True
+    tgt = gn_set(Q, N)
+    return {"holds": bool((img <= tgt).all()),
+            "image_size": int(img.sum()), "target_size": int(tgt.sum())}
 
 
 def test_gn_image_check():
