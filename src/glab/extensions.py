@@ -10,6 +10,7 @@ covering certificate, and the four-factor commutator expansion check.
 
 from __future__ import annotations
 
+import math
 from itertools import product as iter_product
 
 import numpy as np
@@ -21,6 +22,7 @@ from .groupcore import (
     FiniteGroup,
     GroupSpec,
     _require,
+    ball_walk,
     build_group,
     check_order,
     derived_subgroup,
@@ -29,7 +31,6 @@ from .groupcore import (
     is_subgroup_mask,
     is_symmetric_mask,
     mask_from_indices,
-    power_walk,
     product_mask,
 )
 
@@ -209,11 +210,11 @@ def image_bound_check(E: FiniteGroup, spec: CocycleExtSpec,
         E, [E.index[(0, base.elements[x])] for x in range(m)])
     P = product_mask(E, section, inverse_mask(E, section))
     levels = {}
-    # e in P, so the powers grow; once the walk stops, P^n stays put
-    walk, cur = power_walk(E, P, P), None
+    # e in P, so P^n is the ball, which stays put once the walk stops
+    states = ball_walk(E, P, n_max).states()
     holds = True
     for n in range(1, n_max + 1):
-        cur = next(walk, cur)
+        cur = states[min(n, len(states) - 1)]
         observed = sorted({E.elements[int(g)][0] for g in np.nonzero(cur)[0]})
         bound = {(a + b - n * h11) % p
                  for a in _sumset(im_h, 2 * n - 1, p)
@@ -263,8 +264,8 @@ def iwasawa_certificate(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> dict:
     if not product_mask(G, A, B).all():
         raise InputError("premise_violation", "AB must cover G")
     bound = (4 * N) ** M
-    k_min = next((k for k, cur in enumerate(power_walk(G, A, A), start=1)
-                  if cur.all()), None)
+    full = ball_walk(G, A, math.inf).full  # e in A: A^k is the ball
+    k_min = None if full is None else max(full, 1)
     holds = k_min is not None and k_min <= bound
     return {"N": N, "M": M, "bound": bound, "k_min": k_min, "holds": holds}
 
@@ -321,7 +322,6 @@ def carry_cocycle() -> tuple[GroupSpec, int, np.ndarray]:
 def upper_triangular_mask(G: FiniteGroup) -> np.ndarray:
     """Elements of a matrix group whose (row-major flat) matrix is upper
     triangular."""
-    import math
     n = math.isqrt(len(G.elements[0]))
     if n * n != len(G.elements[0]) or not isinstance(G.elements[0][0], int):
         raise InputError("group_mismatch", "not a flat matrix group")

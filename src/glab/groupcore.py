@@ -35,8 +35,9 @@ rows, the inverse array and class ids.  A union of conjugacy classes is
 also a class vector, one boolean per class, and a product of two such
 unions is one too.  Walks on class vectors step through
 :meth:`FiniteGroup.class_table`, the support of the class-algebra
-structure constants, at c booleans a step; a group with that table keeps
-one :class:`ClassWalk` per class power and class ball and never re-walks it.
+structure constants, at c booleans a step.  Every power and ball walk
+{e}, S, S², ... is one :class:`Walk`, kept per class by a group with that
+table (:meth:`FiniteGroup.class_walk_of`) or fresh (:func:`ball_walk`).
 
 Group specs, element texts and the CLI's subset expressions share three
 readers: a bracket splitter (at most ``MAX_NESTING`` deep, so no input
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Callable
 
@@ -600,13 +601,6 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def row(self, a: int) -> np.ndarray:
         """Cayley row: row(a)[b] = index of a*b, walked afresh on each call."""
         return self._tree.row(a)
@@ -662,11 +656,11 @@ class FiniteGroup:
         return self._class_table
 
     def class_walk_of(self, kind: str, i: int, limit: float = math.inf,
-                      target: int | None = None) -> ClassWalk:
+                      target: int | None = None) -> Walk:
         """The walk {e}, S, S², ... for S = C_i (kind "power") or
         S = C_i ∪ C_i^-1 ∪ {e} (kind "ball": its n-th state is the class
         ball (C_i ∪ C_i^-1)^{<=n}), advanced to ``limit`` steps or to
-        class ``target`` (:meth:`ClassWalk.advance`).  A group with a class
+        class ``target`` (:meth:`Walk.advance`).  A group with a class
         table keeps its walks, one per power and per class-inverse pair of
         balls, and goes on from where the last call stopped; a larger
         group walks afresh and keeps none.
@@ -679,7 +673,7 @@ class FiniteGroup:
         s = np.zeros(len(reps), dtype=bool)
         s[classes] = True
         s[0] |= kind == "ball"
-        walk = walk or ClassWalk(len(reps))
+        walk = walk or Walk(len(reps))
         walk.advance(_class_step(self, s), limit, target)
         if self._class_table is not None:  # built by the steps of a table-sized group
             self._class_walks[kind].update(dict.fromkeys(classes, walk))
@@ -820,8 +814,8 @@ def inverse_mask(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
 def product_mask(G: FiniteGroup, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
     """{a*b : a in A, b in B} as a mask.
 
-    When A and B are unions of classes, so is A·B, which takes one step of
-    :func:`class_walk` on their class vectors.  Other sets walk the rows of
+    When A and B are unions of classes, so is A·B, which takes one
+    :func:`_class_step` on their class vectors.  Other sets walk the rows of
     the smaller factor through :meth:`FiniteGroup.row_batches`: the rows of
     A read at B, or, when B is the smaller, the rows of B^-1 read at A^-1,
     since A·B = (B^-1·A^-1)^-1.
@@ -886,38 +880,32 @@ def _class_step(G: FiniteGroup, s: np.ndarray) -> Callable:
     return step
 
 
-def _walk(cur: np.ndarray, step: Callable):
-    """Yield cur, step(cur), step(step(cur)), ... and stop just before the
-    first repeat; each next value is only computed when asked for."""
-    seen: set[bytes] = set()
-    while (key := cur.tobytes()) not in seen:
-        seen.add(key)
-        yield cur
-        cur = step(cur)
-
-
-class ClassWalk:
-    """The walk {e}, S, S², ... of a class vector S, taken only as far as
-    callers ask (:meth:`FiniteGroup.class_walk_of`): ``k`` steps are taken
-    and ``state`` is S^k; ``done`` says that S^(k+1) repeats an earlier
-    state; ``full`` is the least k whose state is every class, where the
-    walk stops, or None.  It holds the states passed, one byte a class,
-    for the repeat test and for :meth:`first`, but no step and no group,
-    so a dropped group is freed at once.
+class Walk:
+    """The walk {e}, S, S², ... of a step a ↦ a·S on masks or class
+    vectors, taken only as far as callers ask: ``k`` steps are taken and
+    ``state`` is S^k; ``done`` says that S^(k+1) repeats an earlier state;
+    ``full`` is the least k whose state is all of G, where the walk stops
+    (G·S = G), or None.  It holds the states passed, one byte an element
+    or class, for the repeat test, :meth:`states` and :meth:`first`, but
+    no step and no group, so a kept walk leaves a dropped group free.
     """
 
     __slots__ = ("k", "done", "full", "_seen")
 
-    def __init__(self, c: int):
-        self.k, self.done, self.full = 0, False, 0 if c == 1 else None
-        self._seen = {(np.arange(c) == 0).tobytes(): None}  # the states, in order
+    def __init__(self, n: int):
+        self.k, self.done, self.full = 0, False, 0 if n == 1 else None
+        self._seen = {(np.arange(n) == 0).tobytes(): None}  # the states, in order
 
     @property
     def state(self) -> np.ndarray:
         return np.frombuffer(next(reversed(self._seen)), dtype=bool)
 
+    def states(self) -> list[np.ndarray]:
+        """S^0, ..., S^k."""
+        return [np.frombuffer(key, dtype=bool) for key in self._seen]
+
     def first(self, l: int) -> int | None:
-        """The least k whose state meets class l, or None while none has."""
+        """The least k whose state meets l, or None while none has."""
         return next((k for k, state in enumerate(self._seen) if state[l]), None)
 
     def stopped(self, limit: float, target: int | None) -> bool:
@@ -925,7 +913,7 @@ class ClassWalk:
         return (self.done or self.k >= limit or self.full is not None
                 or (target is not None and self.first(target) is not None))
 
-    def advance(self, step: Callable, limit: float, target: int | None) -> None:
+    def advance(self, step: Callable, limit: float, target: int | None = None) -> Walk:
         """Take steps a ↦ step(a) until :meth:`stopped` holds."""
         cur, stop = self.state, self.stopped(limit, target)
         while not stop:
@@ -938,43 +926,27 @@ class ClassWalk:
                 self.full = self.k if b"\0" not in key else None
                 stop = (self.k >= limit or self.full is not None
                         or (target is not None and key[target]))
+        return self
 
 
-def class_walk(G: FiniteGroup, a: np.ndarray, s: np.ndarray):
-    """Yield the class vectors a, a·s, a·s², ... and stop just before the
-    first repeat, as :func:`power_walk` does for masks.
-
-    A class vector has one boolean per class of ``G.conjugacy_classes()``;
-    the union of classes it names is ``vector[cid]``.
-    """
-    return _walk(np.array(a, dtype=bool), _class_step(G, s))
-
-
-def power_walk(G: FiniteGroup, a_mask: np.ndarray, s_mask: np.ndarray):
-    """Yield A, A·S, A·S², ... and stop just before the first repeated mask.
-
-    The masks of a walk are eventually periodic, so the walk is finite; a
-    caller stops it earlier with its own test or cap.  When A and S are
-    unions of classes the walk is :func:`class_walk` on their class vectors.
-    """
-    if is_normal_mask(G, a_mask) and is_normal_mask(G, s_mask):
+def ball_walk(G: FiniteGroup, mask: np.ndarray, limit: float) -> Walk:
+    """The walk of masks whose n-th state is the ball A^{<=n} = (A ∪ {e})^n,
+    the union of A^0 = {e}, ..., A^n, advanced ``limit`` steps or until it
+    stops: by one :func:`_class_step` on class vectors when A ∪ {e} is a
+    union of classes, and by :func:`product_mask` otherwise."""
+    s = mask | (np.arange(G.order) == 0)
+    step = lambda cur: product_mask(G, cur, s)
+    if is_normal_mask(G, s):
         cid, reps = G.conjugacy_classes()
-        return (cur[cid] for cur in class_walk(G, a_mask[reps], s_mask[reps]))
-    return _walk(a_mask.copy(), lambda cur: product_mask(G, cur, s_mask))
+        class_step = _class_step(G, s[reps])
+        step = lambda cur: class_step(cur[reps])[cid]
+    return Walk(G.order).advance(step, limit)
 
 
 def ball_mask(G: FiniteGroup, mask: np.ndarray, n: int) -> np.ndarray:
-    """A^{<=n} = union of A^0..A^n, with A^0 = {e}.
-
-    That union is (A ∪ {e})^n, so the ball is the walk from {e} with step
-    A ∪ {e}, taken n steps or until it stops growing.
-    """
-    step = mask.copy()
-    step[0] = True
-    for k, ball in enumerate(power_walk(G, mask_from_indices(G, [0]), step)):
-        if k >= n:
-            break
-    return ball
+    """A^{<=n} = union of A^0..A^n, with A^0 = {e}: the state of
+    :func:`ball_walk` after n steps."""
+    return ball_walk(G, mask, n).state.copy()
 
 
 def is_subgroup_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
@@ -1074,16 +1046,6 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def abelianization_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors of G/[G,G] (empty tuple when G is perfect)."""
-    derived = G.derived_mask()
-    if derived.all():
-        return ()
-    q = build_group(QuotientSpec(G.spec, tuple(G.elements[int(i)]
-                                               for i in np.nonzero(derived)[0])))
-    return abelian_invariants(q)
-
-
 # --------------------------------------------------------------------------
 # reports
 
@@ -1102,23 +1064,9 @@ def commutator_width(G: FiniteGroup) -> int:
     comms = commutator_mask(G)
     derived = G.derived_mask()
     confirm((comms <= derived).all(), "a commutator lies outside [G, G]")
-    # e = [a, a] is a commutator, so the powers grow until they reach [G, G]
-    return next(n for n, cur in enumerate(power_walk(G, comms, comms), start=1)
-                if (derived <= cur).all())
-
-
-def structure_report(G: FiniteGroup) -> dict:
-    cid, reps = G.conjugacy_classes()
-    return {
-        "order": G.order,
-        "num_classes": len(reps),
-        "center_order": int(G.center_mask().sum()),
-        "is_abelian": G.is_abelian(),
-        "is_perfect": G.is_perfect(),
-        "derived_order": int(G.derived_mask().sum()),
-        "exponent": reduce(math.lcm, (G.element_order(r) for r in reps), 1),
-        "abelianization": list(abelianization_invariants(G)),
-    }
+    # e = [a, a] is a commutator, so the powers of the commutators are
+    # their balls, which grow inside [G, G] until they stop there
+    return max(ball_walk(G, comms, math.inf).k, 1)
 
 
 # --------------------------------------------------------------------------

@@ -32,8 +32,6 @@ from .groupcore import (
     is_normal_mask,
     is_symmetric_mask,
     perm_compose,
-    perm_inverse,
-    perm_to_text,
 )
 from .thickset import _quotient_clique
 
@@ -49,48 +47,6 @@ def cycle_perm(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
     for i, p in enumerate(pts):
         img[p] = pts[(i + 1) % len(pts)]
     return tuple(img)
-
-
-def _distinct(*groups: tuple[int, ...]):
-    flat = [p for g in groups for p in g]
-    if len(set(flat)) != len(flat):
-        raise InputError("overlap_violation",
-                         "the point lists must be pairwise disjoint")
-
-
-def cycle_quotient(n: int, x: int, a: tuple[int, ...], b: tuple[int, ...]) -> dict:
-    """(x,a)^-1 ∘ (x,b) collapses to the single cycle (x, b, reversed(a)).
-
-    Lists must have equal length and share no points (nor contain x).
-    Returns image tuples for both sides; they are checked equal.
-    """
-    if len(a) != len(b):
-        raise InputError("length_mismatch", "lists must have equal length",
-                         len_a=len(a), len_b=len(b))
-    _distinct((x,), a, b)
-    lhs = perm_compose(perm_inverse(cycle_perm(n, (x,) + tuple(a))),
-                       cycle_perm(n, (x,) + tuple(b)))
-    rhs = cycle_perm(n, (x,) + tuple(b) + tuple(reversed(a)))
-    confirm(lhs == rhs, "quotient identity violated", x=x, a=a, b=b)
-    return {"result": rhs, "text": perm_to_text(rhs)}
-
-
-def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
-                b: tuple[int, ...]) -> dict:
-    """(x,y,a) ∘ (x,y,b) = (x,a) ∘ (y,b) for odd-length lists a and b.
-
-    Both sides are built form-level and checked equal; returns the image
-    tuple of the product and its text."""
-    if len(a) % 2 == 0 or len(b) % 2 == 0:
-        raise InputError("even_length", "the merge identity needs odd lists",
-                         len_a=len(a), len_b=len(b))
-    _distinct((x,), (y,), a, b)
-    lhs = perm_compose(cycle_perm(n, (x, y) + tuple(a)),
-                       cycle_perm(n, (x, y) + tuple(b)))
-    rhs = perm_compose(cycle_perm(n, (x,) + tuple(a)),
-                       cycle_perm(n, (y,) + tuple(b)))
-    confirm(lhs == rhs, "merge identity violated", x=x, y=y, a=a, b=b)
-    return {"result": lhs, "text": perm_to_text(lhs)}
 
 
 # --------------------------------------------------------------------------

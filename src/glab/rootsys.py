@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, confirm
 
 Vec = tuple[int, ...]
 
@@ -90,13 +90,11 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     positive.sort(key=lambda r: (height(system, r), r))
     object.__setattr__(system, "positive", tuple(positive))
     # sanity: roots come in +/- pairs split evenly by height sign
-    assert len(positive) * 2 == len(roots)
-    assert all(_neg(r) in set(roots) for r in roots)
+    confirm(len(positive) * 2 == len(roots),
+            "half of the roots must be positive")
+    confirm(all(_neg(r) in set(roots) for r in roots),
+            "the roots must come in +/- pairs")
     return system
-
-
-def is_root(R: RootSystem, v: Vec) -> bool:
-    return tuple(v) in set(R.roots)
 
 
 def _solve_rational(a: list[list[int]], b: list[int]) -> list[Fraction]:
@@ -121,10 +119,11 @@ def simple_coefficients(R: RootSystem, root: Vec) -> tuple[int, ...]:
                         [inner(a, root) for a in R.simple])
     coeffs = []
     for v in x:
-        assert v.denominator == 1, "root must be an integer combination"
+        confirm(v.denominator == 1, "root must be an integer combination")
         coeffs.append(int(v))
-    assert tuple(sum(c * a[k] for c, a in zip(coeffs, R.simple))
-                 for k in range(R.dim)) == tuple(root)
+    confirm(tuple(sum(c * a[k] for c, a in zip(coeffs, R.simple))
+                  for k in range(R.dim)) == tuple(root),
+            "the simple coefficients must recombine to the root")
     return tuple(coeffs)
 
 
@@ -136,7 +135,7 @@ def pairing(beta: Vec, alpha: Vec) -> int:
     """Cartan pairing <beta, alpha> = 2 (beta, alpha) / (alpha, alpha)."""
     num = 2 * inner(beta, alpha)
     den = inner(alpha, alpha)
-    assert den > 0 and num % den == 0, "pairing must be integral on roots"
+    confirm(den > 0 and num % den == 0, "pairing must be integral on roots")
     return num // den
 
 
@@ -153,7 +152,7 @@ def root_weight(R: RootSystem, lam: tuple[int, ...], beta: Vec) -> int:
 def _rational_seed(R: RootSystem) -> list[Fraction]:
     """Exact solution of C lam = (1,...,1); entrywise positive."""
     seed = _solve_rational([list(row) for row in cartan_matrix(R)], [1] * R.rank)
-    assert all(x > 0 for x in seed)
+    confirm(all(x > 0 for x in seed), "the rational seed must be positive")
     return seed
 
 
@@ -204,12 +203,9 @@ def lambda_weights(R: RootSystem) -> tuple[int, ...]:
 
         return dfs(0)
 
-    for bound in range(1, upper + 1):
-        got = search(bound)
-        if got is not None:
-            lam = got
-            break
-    else:  # the scaled rational seed is itself a solution, so unreachable
-        raise AssertionError("weight search must succeed within the seed bound")
-    assert all(root_weight(R, lam, b) > 0 for b in R.positive)
+    # the scaled rational seed is itself a solution, so a bound succeeds
+    lam = next(filter(None, map(search, range(1, upper + 1))), None)
+    confirm(lam is not None, "weight search must succeed within the seed bound")
+    confirm(all(root_weight(R, lam, b) > 0 for b in R.positive),
+            "every positive root must weigh more than 0")
     return lam

@@ -39,10 +39,10 @@ import numpy as np
 from .errors import CapExceeded, InputError, confirm
 from .groupcore import (
     FiniteGroup,
+    ball_mask,
     is_subgroup_mask,
     is_normal_mask,
     is_symmetric_mask,
-    power_walk,
     quotient_projection,
 )
 
@@ -210,7 +210,7 @@ def check_intersection_bound(G: FiniteGroup, P: np.ndarray, Q: np.ndarray) -> di
 
 
 # --------------------------------------------------------------------------
-# Ramsey numbers (table-backed, with exhaustive checkers for the small ones)
+# Ramsey numbers (table-backed)
 
 
 _RAMSEY_TABLE = {
@@ -226,90 +226,6 @@ def ramsey_bound(n: int, m: int) -> int:
     if key not in _RAMSEY_TABLE:
         raise InputError("out_of_table", f"R{key} is not tabulated", pair=key)
     return _RAMSEY_TABLE[key]
-
-
-def ramsey_two_colorings_forced(N: int, s: int = 3, t: int = 3) -> bool:
-    """True iff *every* red/blue coloring of K_N has a red K_s or blue K_t.
-
-    Fully exhaustive over all 2^(N choose 2) colorings; meant for the
-    (3,3) entries where that is 2^15 at most.
-    """
-    edges = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    eidx = {e: k for k, e in enumerate(edges)}
-    cols = np.arange(1 << len(edges), dtype=np.int64)
-    hit = np.zeros(len(cols), dtype=bool)
-    from itertools import combinations
-    for size, want_red in ((s, True), (t, False)):
-        for verts in combinations(range(N), size):
-            bits = [eidx[(a, b)] for a, b in combinations(verts, 2)]
-            sub = np.zeros(len(cols), dtype=np.int64)
-            for b in bits:
-                sub += (cols >> b) & 1
-            hit |= (sub == len(bits)) if want_red else (sub == 0)
-    return bool(hit.all())
-
-
-def ramsey_witness_graph(N: int, s: int, t: int) -> list[int] | None:
-    """A graph on N vertices with clique < s and independence < t, or None.
-
-    Vertex-incremental search: vertex k tries every adjacency mask into
-    {0..k-1}, rejecting masks that complete an s-clique or a t-independent
-    set (tracked incrementally as bitmasks, filtered with numpy).
-    Returns adjacency bitmasks or None if no such graph exists — None at
-    N = R(s,t) is exactly the arrow property.
-    """
-    cliques: list[list[int]] = [[] for _ in range(s)]    # by size 1..s-1
-    indeps: list[list[int]] = [[] for _ in range(t)]
-    adj: list[int] = []
-
-    def dfs(k: int) -> list[int] | None:
-        if k == N:
-            return list(adj)
-        masks = np.arange(1 << k, dtype=np.int64)
-        bad = np.zeros(len(masks), dtype=bool)
-        if cliques[s - 1]:
-            cs = np.array(cliques[s - 1], dtype=np.int64)
-            bad |= ((masks[:, None] & cs) == cs).any(axis=1)
-        if indeps[t - 1]:
-            ds = np.array(indeps[t - 1], dtype=np.int64)
-            bad |= ((masks[:, None] & ds) == 0).any(axis=1)
-        for m in map(int, masks[~bad]):
-            added_c, added_i = [], []
-            # snapshot lengths first: this vertex's additions must not feed
-            # the larger sizes within the same update
-            clens = [len(x) for x in cliques]
-            ilens = [len(x) for x in indeps]
-            for size in range(2, s):
-                for c in cliques[size - 1][:clens[size - 1]]:
-                    if c & m == c:
-                        cliques[size].append(c | (1 << k))
-                        added_c.append(size)
-            for size in range(2, t):
-                for d in indeps[size - 1][:ilens[size - 1]]:
-                    if d & m == 0:
-                        indeps[size].append(d | (1 << k))
-                        added_i.append(size)
-            cliques[1].append(1 << k)
-            indeps[1].append(1 << k)
-            adj.append(m)
-            for i in range(k):
-                if m >> i & 1:
-                    adj[i] |= 1 << k
-            got = dfs(k + 1)
-            if got is not None:
-                return got
-            adj.pop()
-            for i in range(k):
-                adj[i] &= ~(1 << k)
-            cliques[1].pop()
-            indeps[1].pop()
-            for size in reversed(added_c):
-                cliques[size].pop()
-            for size in reversed(added_i):
-                indeps[size].pop()
-        return None
-
-    return dfs(0)
 
 
 # --------------------------------------------------------------------------
@@ -445,11 +361,7 @@ def generic_subgroup_certificate(G: FiniteGroup, P: np.ndarray) -> dict:
                          "certificate needs e in P and P symmetric")
     gen = genericity(G, P)
     m = gen["m"]
-    # e in P: the powers grow until they stop, so a walk that stops short
-    # of 3m-2 steps has reached P^(3m-2) already
-    for k, power in enumerate(power_walk(G, P, P), start=1):
-        if k == 3 * m - 2:
-            break
+    power = ball_mask(G, P, 3 * m - 2)  # e in P: the power is the ball
     sub = is_subgroup_mask(G, power)
     index = G.order // int(power.sum()) if sub else None
     return {
@@ -599,21 +511,32 @@ def bounded_simplicity_degree(G: FiniteGroup, cap: int | None = None) -> dict:
 def covering_number(G: FiniteGroup) -> dict:
     """Max over nontrivial classes of the least n with C^n = G.
 
-    Only defined for simple nonabelian groups, which is verified first:
-    the normal closure of every nontrivial class must be the whole group.
-    Each n is read off the group's power walk of C.
+    Only defined for simple nonabelian groups.  Each n is read off the
+    group's power walk of C, and the walks also decide simplicity: a class
+    whose powers fill G generates G, so when every walk fills G, no
+    nontrivial class lies in a proper normal subgroup.  Conversely, in a
+    simple nonabelian group the powers of a nontrivial class C fill G
+    before they repeat: for x in C of order o, x^-1 = x^(o-1) lies in
+    C^(o-1), so C^o ⊇ C·C^(o-1) ∋ e, and C^o, C^2o, ... grow to a normal
+    subgroup, which is G since |C^o| >= |C| > 1 (the centre is trivial);
+    G, once reached, stays, so it comes before the first repeat.  So only
+    when a walk ends short of G is the normal closure of each class
+    taken, to name the first class that generates a proper normal
+    subgroup.
     """
     cid, reps = G.conjugacy_classes()
     if G.is_abelian() or G.order == 1:
         raise InputError("not_simple_nonabelian", "group is abelian")
-    for r in reps[1:]:
-        if not G.normal_closure_mask(G.class_mask(r)).all():
-            raise InputError("not_simple_nonabelian",
-                             f"class of element {r} generates a proper normal subgroup")
     per_class = []
     for i, r in enumerate(reps[1:], start=1):
         n = G.class_walk_of("power", i).full
-        confirm(n is not None, "class powers cycled below G")
+        if n is None:
+            for r in reps[1:]:
+                if not G.normal_closure_mask(G.class_mask(r)).all():
+                    raise InputError(
+                        "not_simple_nonabelian",
+                        f"class of element {r} generates a proper normal subgroup")
+            confirm(False, "class powers cycled below G")
         per_class.append({"rep": int(r), "power": n})
     return {"value": max(pc["power"] for pc in per_class), "per_class": per_class}
 

@@ -18,9 +18,10 @@ import pytest
 
 from glab.chevalley import class_cube, is_regular, regular_diagonals
 from glab.errors import CapExceeded, InputError, PropertyFailure
-from glab.groupcore import build_group, class_walk, parse_group_spec
+from glab.groupcore import build_group, parse_group_spec
 from glab.permfact import class_word_distance
 from glab.thickset import bounded_simplicity_degree, covering_number, gn_set
+from walk_oracles import class_walk
 
 GROUPS = ["Alt(5)", "Sym(5)", "SL(2,7)", "Quot(SL(2,7),center)",
           "Prod(Alt(5),Sym(3))", "Prod(Cyc(10),Sym(5))", "Cyc(24)"]

@@ -28,10 +28,12 @@ from glab.groupcore import (
     abelian_invariants,
     build_group,
     element_text,
+    inverse_mask,
     is_subgroup_mask,
     is_symmetric_mask,
     mask_from_indices,
     parse_group_spec,
+    product_mask,
 )
 
 
@@ -110,6 +112,28 @@ def test_carry_image_bound(carry_ext):
     assert rep["holds"] and rep["n_max"] == 4
     assert rep["levels"][1] == {
         "observed": [0, 1], "bound": [0, 1], "contained": True}
+
+
+@pytest.mark.parametrize("base_text, p", [("Cyc(2)", 2), ("Cyc(3)", 7)])
+def test_image_bound_levels_past_the_last_growth(base_text, p):
+    """n_max = 7 goes past the radius where P^n stops growing (2 for the
+    carry, 5 for the Cyc(3) coboundary, whose last growth adds the first
+    coordinate 0); each level observes the first coordinates of P^n,
+    taken product by product."""
+    base = build_group(parse_group_spec(base_text))
+    table = carry_cocycle()[2] if base.order == 2 else coboundary_cocycle(base, p)
+    spec, E = build_extension(base.spec, p, table)
+    rep = image_bound_check(E, spec, n_max=7)
+    section = mask_from_indices(
+        E, [E.index[(0, base.elements[x])] for x in range(base.order)])
+    P = product_mask(E, section, inverse_mask(E, section))
+    powers = [P]
+    for n in range(2, 8):
+        powers.append(product_mask(E, powers[-1], P))
+    assert any((a == b).all() for a, b in zip(powers[:5], powers[1:6]))
+    for n, power in enumerate(powers, start=1):
+        assert rep["levels"][n]["observed"] == sorted(
+            {E.elements[int(g)][0] for g in np.flatnonzero(power)})
 
 
 # -- coboundary extensions always split
@@ -202,6 +226,14 @@ def test_iwasawa_certificate_sl25(sl25):
     B = upper_triangular_mask(sl25)
     assert iwasawa_certificate(sl25, A, B) == {
         "N": 1, "M": 2, "bound": 16, "k_min": 2, "holds": True}
+
+
+def test_iwasawa_certificate_trivial_group():
+    """On Cyc(1), A = {e} is all of G from the start, and k_min is 1."""
+    G = build_group(CycSpec(1))
+    one = np.ones(1, dtype=bool)
+    assert iwasawa_certificate(G, one, one) == {
+        "N": 1, "M": 0, "bound": 1, "k_min": 1, "holds": True}
 
 
 def test_iwasawa_premises(sl25, sym3):

@@ -16,10 +16,9 @@ from glab.groupcore import (
     QuotientSpec,
     SymSpec,
     abelian_invariants,
-    abelianization_invariants,
     ball_mask,
+    ball_walk,
     build_group,
-    class_walk,
     commutator_mask,
     commutator_width,
     derived_subgroup,
@@ -31,14 +30,13 @@ from glab.groupcore import (
     mask_from_indices,
     parse_element,
     parse_group_spec,
-    power_walk,
     product_mask,
     quotient_projection,
-    structure_report,
 )
 from glab.chevalley import class_cube, regular_diagonals
 from glab.permfact import class_word_distance
 from glab.thickset import bounded_simplicity_degree, gn_set, thickness
+from walk_oracles import class_walk, power_walk
 
 
 # -- enumeration is canonical: these orderings are load-bearing for witnesses
@@ -94,11 +92,6 @@ def test_power_matches_repeated_mul(cyc7):
         assert cyc7.power(a, -1) == cyc7.inv(a)
 
 
-def test_element_order(sym4):
-    orders = sorted({sym4.element_order(i) for i in range(sym4.order)})
-    assert orders == [1, 2, 3, 4]
-
-
 def test_cayley_row(sym3):
     for a in range(6):
         row = sym3.row(a)
@@ -106,19 +99,6 @@ def test_cayley_row(sym3):
 
 
 # -- structure
-
-
-def test_structure_report_sym3(sym3):
-    assert structure_report(sym3) == {
-        "order": 6,
-        "num_classes": 3,
-        "center_order": 1,
-        "is_abelian": False,
-        "is_perfect": False,
-        "derived_order": 3,
-        "exponent": 6,
-        "abelianization": [2],
-    }
 
 
 def test_alt5_is_perfect_with_five_classes(alt5):
@@ -147,13 +127,10 @@ def test_abelian_invariants():
     assert abelian_invariants(build_group(AbSpec((2, 2, 2)))) == (2, 2, 2)
 
 
-def test_abelianization(sym4, alt5):
-    assert abelianization_invariants(sym4) == (2,)
-    assert abelianization_invariants(alt5) == ()
-
-
 def test_commutator_width_abelian_edge(cyc6):
-    assert commutator_width(cyc6) == 1  # derived subgroup {e}; e = [e,e]
+    # derived subgroup {e}, which the walk of the commutators starts at
+    assert commutator_width(cyc6) == 1  # e = [e,e]
+    assert commutator_width(build_group(CycSpec(1))) == 1
 
 
 # -- subset arithmetic on index masks
@@ -222,7 +199,8 @@ def test_product_of_a_non_normal_set_takes_every_row(sym4, monkeypatch):
 @given(data=st.data())
 @settings(derandomize=True, max_examples=8, deadline=None)
 def test_class_walk_matches_iterated_products(spec, data):
-    """class_walk and power_walk on unions of classes A and S: A, A·S,
+    """Steps a ↦ a·s of ``_class_step`` from any union of classes A, and
+    ``product_mask`` on their masks, through the oracle walks: A, A·S,
     A·S², ... from the element-level product, up to the first repeat."""
     G = _group(spec)
     cid, reps = G.conjugacy_classes()
@@ -257,7 +235,7 @@ def test_class_walks_keep_memory_bounded():
     assert class_word_distance(G, 1, G.order - 1)["k"] is not None
     for m in regular_diagonals(2, 11):
         assert class_cube(G, G.index[m])["cube_is_group"]
-    assert len(list(power_walk(G, T, T))) > 1
+    assert ball_walk(G, T, math.inf).k > 1
     assert product_mask(G, T, T).any()
     assert G._class_table is not None
 
@@ -340,8 +318,8 @@ def test_commutator_width_walks_rows_in_batches():
 
 def test_a_non_normal_power_walk_keeps_no_rows():
     """The four powers of a seeded symmetric, non-normal set P of odd
-    permutations in Sym(7) walk at most |P| rows a step and keep none;
-    keeping the rows of every power took 184 MiB."""
+    permutations in Sym(7), and its balls, walk at most |P| + 1 rows a
+    step and keep none; keeping the rows of every power took 184 MiB."""
     G = build_group(parse_group_spec("Sym(7)"))
     odd = np.flatnonzero(~G.derived_mask())
     x = np.random.default_rng(5).choice(odd, 40, replace=False)
@@ -350,6 +328,7 @@ def test_a_non_normal_power_walk_keeps_no_rows():
     walk = power_walk(G, P, P)
     assert _peak_mib(lambda: [next(walk) for _ in range(4)]) < 16
     assert next(walk, None) is None  # P^3 = P^5 = the odd permutations
+    assert _peak_mib(lambda: ball_walk(G, P, 4)) < 16
 
 
 @pytest.mark.parametrize("spec", ["Alt(5)", "Cyc(24)", "SL(2,7)"])
@@ -388,31 +367,47 @@ def test_ball_mask_levels(cyc6):
 
 
 def test_power_walk_stops_before_first_repeat(cyc6, sym3):
-    one = mask_from_indices(cyc6, [1])
-    assert [np.nonzero(m)[0].tolist() for m in power_walk(cyc6, one, one)] == [
-        [1], [2], [3], [4], [5], [0]]
-    # transpositions T: T, T^2 = Alt(3), then T again
+    """The kept power walks {e}, S, S², ... of the class of 1 in Cyc(6) and
+    of the transpositions T in Sym(3) stop at S^k once S^(k+1) repeats."""
+    cid = cyc6.conjugacy_classes()[0]
+    walk = cyc6.class_walk_of("power", int(cid[1]))
+    assert (walk.k, walk.done, walk.full) == (5, True, None)
+    assert [np.flatnonzero(v[cid]).tolist() for v in walk.states()] == [
+        [0], [1], [2], [3], [4], [5]]
+    # T, T^2 = Alt(3), then T again
+    cid = sym3.conjugacy_classes()[0]
     T = sym3.class_mask(1)
-    walk = list(power_walk(sym3, T, T))
-    assert len(walk) == 2
-    assert (walk[0] == T).all() and np.nonzero(walk[1])[0].tolist() == [0, 2, 4]
+    walk = sym3.class_walk_of("power", int(cid[1]))
+    assert (walk.k, walk.done, walk.full) == (2, True, None)
+    states = [v[cid] for v in walk.states()]
+    assert (states[1] == T).all() and np.flatnonzero(states[2]).tolist() == [0, 2, 4]
 
 
 @pytest.mark.parametrize("spec", ["Sym(4)", "SL(2,3)"])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_ball_mask_matches_word_enumeration(spec, data):
-    """ball_mask against words of length <= r multiplied out by mul_form."""
+    """ball_mask against words of length <= r multiplied out by mul_form,
+    and ball_walk's states, k, full and done against the balls of every
+    radius up to the first that is G or adds nothing."""
     G = build_group(parse_group_spec(spec))
     S = data.draw(st.sets(st.integers(0, G.order - 1), max_size=4))
     r = data.draw(st.integers(0, 4))
-    ball = {G.elements[0]}
-    layer = set(ball)
-    for _ in range(r):
+    balls = [{G.elements[0]}]
+    layer = set(balls[0])
+    while len(balls[-1]) < G.order and (len(balls) < 2 or balls[-1] != balls[-2]):
         layer = {G.mul_form(f, G.elements[s]) for f in layer for s in S}
-        ball |= layer
-    got = ball_mask(G, mask_from_indices(G, sorted(S)), r)
-    assert {G.elements[int(i)] for i in np.nonzero(got)[0]} == ball
+        balls.append(balls[-1] | layer)
+    stop = len(balls) - 1 if len(balls[-1]) == G.order else len(balls) - 2
+    mask = mask_from_indices(G, sorted(S))
+    got = ball_mask(G, mask, r)
+    assert {G.elements[int(i)] for i in np.nonzero(got)[0]} == balls[min(r, stop)]
+    walk = ball_walk(G, mask, math.inf)
+    assert [{G.elements[int(i)] for i in np.flatnonzero(b)}
+            for b in walk.states()] == balls[:stop + 1]
+    full = stop if len(balls[stop]) == G.order else None
+    assert (walk.k, walk.full, walk.done) == (stop, full, full is None)
+    assert ball_walk(G, mask, r).k == min(r, stop)
 
 
 def test_inverse_and_symmetry(sym3):

@@ -8,6 +8,7 @@ random small groups of every family, and pin the enumeration order of each
 family's frozen test group.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -334,8 +335,8 @@ def test_kernel_checks_stay_checks_under_optimisation():
     and cover replays, the normal core check, the commutator check of
     ``commutator_width``, the root-factor peeling and recomposition, the
     transport's height progress, both L·D·U recompositions, the regular
-    sequence's quotients and the p-power count of ``abelian_invariants``
-    still raise their typed errors."""
+    sequence's quotients, the p-power count of ``abelian_invariants`` and
+    the root-system checks of ``rootsys`` still raise their typed errors."""
     src = os.path.dirname(os.path.dirname(groupcore.__file__))
     code = (
         "import numpy as np\n"
@@ -388,7 +389,12 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "attempt(lambda: chevalley.regular_sequence('A', 1, 7, 2))\n"
         "C = groupcore.build_group(groupcore.CycSpec(6))\n"
         "C.power = lambda x, k: 0\n"
-        "attempt(lambda: groupcore.abelian_invariants(C))\n")
+        "attempt(lambda: groupcore.abelian_invariants(C))\n"
+        "from glab import rootsys\n"
+        "attempt(lambda: rootsys.pairing((1, 0), (0, 0)))\n"
+        "R = rootsys.build_root_system('A', 2)\n"
+        "rootsys.root_weight = lambda R, lam, b: 0\n"
+        "attempt(lambda: rootsys.lambda_weights(R))\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], text=True,
                          capture_output=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
@@ -407,7 +413,23 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "PropertyFailure search_exhausted L·D·U must multiply back to the matrix\n"
         "PropertyFailure search_exhausted L·D·U must multiply back to the conjugate\n"
         "PropertyFailure search_exhausted a pairwise quotient is not regular\n"
-        "PropertyFailure search_exhausted order-dividing count must be a p-power\n")
+        "PropertyFailure search_exhausted order-dividing count must be a p-power\n"
+        "PropertyFailure search_exhausted pairing must be integral on roots\n"
+        "PropertyFailure search_exhausted every positive root must weigh more than 0\n")
+
+
+def test_no_assert_in_the_library():
+    """Every claim check in ``src/glab`` is a call that raises, such as
+    ``errors.confirm``: ``python -O`` strips an ``assert`` statement."""
+    src = os.path.dirname(groupcore.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_class_balls_workload_round_passes_its_checks(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 import glab.permfact as permfact
 import glab.thickset as thickset
-from glab.errors import InputError, PropertyFailure
+from glab.errors import InputError, PropertyFailure, confirm
 from glab.groupcore import (
     build_group,
     element_text,
@@ -19,13 +19,12 @@ from glab.groupcore import (
     parse_group_spec,
     perm_compose,
     perm_inverse,
+    perm_to_text,
 )
 from glab.permfact import (
     class_word_distance,
     cycle_perm,
-    cycle_quotient,
     express_even,
-    merge_split,
     scan_cycle_quotient,
     scan_merge,
 )
@@ -36,6 +35,51 @@ def _alt5_small_support_set(alt5):
     P |= alt5.class_mask(parse_element(alt5, "(1,2)(3,4)"))
     P |= alt5.class_mask(parse_element(alt5, "(1,2,3)"))
     return P
+
+
+# -- the two identities one instance at a time: the oracles of the scans
+
+
+def _distinct(*groups: tuple[int, ...]):
+    flat = [p for g in groups for p in g]
+    if len(set(flat)) != len(flat):
+        raise InputError("overlap_violation",
+                         "the point lists must be pairwise disjoint")
+
+
+def cycle_quotient(n: int, x: int, a: tuple[int, ...], b: tuple[int, ...]) -> dict:
+    """(x,a)^-1 ∘ (x,b) collapses to the single cycle (x, b, reversed(a)).
+
+    Lists must have equal length and share no points (nor contain x).
+    Returns image tuples for both sides; they are checked equal.
+    """
+    if len(a) != len(b):
+        raise InputError("length_mismatch", "lists must have equal length",
+                         len_a=len(a), len_b=len(b))
+    _distinct((x,), a, b)
+    lhs = perm_compose(perm_inverse(cycle_perm(n, (x,) + tuple(a))),
+                       cycle_perm(n, (x,) + tuple(b)))
+    rhs = cycle_perm(n, (x,) + tuple(b) + tuple(reversed(a)))
+    confirm(lhs == rhs, "quotient identity violated", x=x, a=a, b=b)
+    return {"result": rhs, "text": perm_to_text(rhs)}
+
+
+def merge_split(n: int, x: int, y: int, a: tuple[int, ...],
+                b: tuple[int, ...]) -> dict:
+    """(x,y,a) ∘ (x,y,b) = (x,a) ∘ (y,b) for odd-length lists a and b.
+
+    Both sides are built form-level and checked equal; returns the image
+    tuple of the product and its text."""
+    if len(a) % 2 == 0 or len(b) % 2 == 0:
+        raise InputError("even_length", "the merge identity needs odd lists",
+                         len_a=len(a), len_b=len(b))
+    _distinct((x,), (y,), a, b)
+    lhs = perm_compose(cycle_perm(n, (x, y) + tuple(a)),
+                       cycle_perm(n, (x, y) + tuple(b)))
+    rhs = perm_compose(cycle_perm(n, (x,) + tuple(a)),
+                       cycle_perm(n, (y,) + tuple(b)))
+    confirm(lhs == rhs, "merge identity violated", x=x, y=y, a=a, b=b)
+    return {"result": lhs, "text": perm_to_text(lhs)}
 
 
 # -- cycle builder
@@ -300,7 +344,9 @@ def test_scan_merge_spot_checks_format_no_text(monkeypatch):
         return sides(n, la, points)
 
     monkeypatch.setattr(permfact, "_merge_sides", counting)
-    monkeypatch.setattr(permfact, "perm_to_text", None)  # a call would fail
+    # a call would fail; permfact imports no perm_to_text since the
+    # single-instance identities that formatted their text left it
+    monkeypatch.setattr(permfact, "perm_to_text", None, raising=False)
     rep = scan_merge(8, shapes=[(1, 3)], random_samples=50)
     assert rep["random_checks"] == len(rows) == 50
 

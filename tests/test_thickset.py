@@ -18,7 +18,6 @@ from glab.groupcore import (
     mask_from_indices,
     parse_element,
     parse_group_spec,
-    power_walk,
     quotient_projection,
 )
 from glab.thickset import (
@@ -34,11 +33,10 @@ from glab.thickset import (
     normal_core_probe,
     preimage_thickness_check,
     ramsey_bound,
-    ramsey_two_colorings_forced,
-    ramsey_witness_graph,
     spread_length,
     thickness,
 )
+from walk_oracles import power_walk
 
 
 def _arc(G, k):
@@ -555,6 +553,94 @@ def test_ramsey_errors():
     assert e.value.code == "invalid_parameters"
 
 
+# exhaustive checkers of the small Ramsey numbers, which back the table
+# of ramsey_bound
+
+
+def ramsey_two_colorings_forced(N: int, s: int = 3, t: int = 3) -> bool:
+    """True iff *every* red/blue coloring of K_N has a red K_s or blue K_t.
+
+    Fully exhaustive over all 2^(N choose 2) colorings; meant for the
+    (3,3) entries where that is 2^15 at most.
+    """
+    edges = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    eidx = {e: k for k, e in enumerate(edges)}
+    cols = np.arange(1 << len(edges), dtype=np.int64)
+    hit = np.zeros(len(cols), dtype=bool)
+    from itertools import combinations
+    for size, want_red in ((s, True), (t, False)):
+        for verts in combinations(range(N), size):
+            bits = [eidx[(a, b)] for a, b in combinations(verts, 2)]
+            sub = np.zeros(len(cols), dtype=np.int64)
+            for b in bits:
+                sub += (cols >> b) & 1
+            hit |= (sub == len(bits)) if want_red else (sub == 0)
+    return bool(hit.all())
+
+
+def ramsey_witness_graph(N: int, s: int, t: int) -> list[int] | None:
+    """A graph on N vertices with clique < s and independence < t, or None.
+
+    Vertex-incremental search: vertex k tries every adjacency mask into
+    {0..k-1}, rejecting masks that complete an s-clique or a t-independent
+    set (tracked incrementally as bitmasks, filtered with numpy).
+    Returns adjacency bitmasks or None if no such graph exists — None at
+    N = R(s,t) is exactly the arrow property.
+    """
+    cliques: list[list[int]] = [[] for _ in range(s)]    # by size 1..s-1
+    indeps: list[list[int]] = [[] for _ in range(t)]
+    adj: list[int] = []
+
+    def dfs(k: int) -> list[int] | None:
+        if k == N:
+            return list(adj)
+        masks = np.arange(1 << k, dtype=np.int64)
+        bad = np.zeros(len(masks), dtype=bool)
+        if cliques[s - 1]:
+            cs = np.array(cliques[s - 1], dtype=np.int64)
+            bad |= ((masks[:, None] & cs) == cs).any(axis=1)
+        if indeps[t - 1]:
+            ds = np.array(indeps[t - 1], dtype=np.int64)
+            bad |= ((masks[:, None] & ds) == 0).any(axis=1)
+        for m in map(int, masks[~bad]):
+            added_c, added_i = [], []
+            # snapshot lengths first: this vertex's additions must not feed
+            # the larger sizes within the same update
+            clens = [len(x) for x in cliques]
+            ilens = [len(x) for x in indeps]
+            for size in range(2, s):
+                for c in cliques[size - 1][:clens[size - 1]]:
+                    if c & m == c:
+                        cliques[size].append(c | (1 << k))
+                        added_c.append(size)
+            for size in range(2, t):
+                for d in indeps[size - 1][:ilens[size - 1]]:
+                    if d & m == 0:
+                        indeps[size].append(d | (1 << k))
+                        added_i.append(size)
+            cliques[1].append(1 << k)
+            indeps[1].append(1 << k)
+            adj.append(m)
+            for i in range(k):
+                if m >> i & 1:
+                    adj[i] |= 1 << k
+            got = dfs(k + 1)
+            if got is not None:
+                return got
+            adj.pop()
+            for i in range(k):
+                adj[i] &= ~(1 << k)
+            cliques[1].pop()
+            indeps[1].pop()
+            for size in reversed(added_c):
+                cliques[size].pop()
+            for size in reversed(added_i):
+                indeps[size].pop()
+        return None
+
+    return dfs(0)
+
+
 def test_ramsey_3_3_by_exhaustion():
     assert ramsey_two_colorings_forced(6, 3, 3)
     assert not ramsey_two_colorings_forced(5, 3, 3)
@@ -685,6 +771,9 @@ def test_certificate_frozen(cyc6, cyc4=None):
     assert cert["power_order"] == 2 and cert["index"] == 2
     assert cert["is_subgroup"] and cert["index_at_most_m"]
     assert sorted(np.nonzero(cert["mask"])[0].tolist()) == [0, 2]
+    cert = generic_subgroup_certificate(cyc6, np.ones(6, dtype=bool))
+    assert cert["m"] == 1 and cert["power_exponent"] == 1  # P^1 = G, P^0 = {e}
+    assert cert["power_order"] == 6 and cert["index"] == 1
 
 
 def test_certificate_precondition(cyc6):
@@ -722,7 +811,8 @@ def test_image_thickness_monotone(cyc12):
 
 def power_cover(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     """Least n with P^n = G, or None with the stabilized union of powers;
-    no library code calls it, and it stays here as a check of power_walk.
+    no library code calls it, and it stays here as a check of the oracle
+    power_walk and of the products it takes.
 
     The power walk stops at the first repeated power (e.g. for
     parity-alternating sets); the union of all powers seen is the closure
