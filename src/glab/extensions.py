@@ -21,6 +21,8 @@ from .groupcore import (
     CocycleExtSpec,
     FiniteGroup,
     GroupSpec,
+    _close,
+    _orbit_min,
     _require,
     ball_walk,
     build_group,
@@ -146,25 +148,26 @@ def split_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
 
 
 def enumerate_subgroups(G: FiniteGroup, cap: int = 20_000) -> list[np.ndarray]:
-    """All subgroups of a small group, by incremental closure."""
-    seen: dict[bytes, np.ndarray] = {}
+    """All subgroups of a small group, by incremental closure: each
+    subgroup S keeps right maps x ↦ x·s that generate it, and <S, g> is S
+    closed under those and the one map x ↦ x·g.  As <S, g> = <S, g·s> for
+    s in S, one g per coset g·S is tried, the least, other than S itself."""
     trivial = mask_from_indices(G, [0])
-    seen[trivial.tobytes()] = trivial
-    queue = [trivial]
+    seen = {trivial.tobytes(): trivial}
+    queue = [(trivial, np.empty((0, G.order), dtype=np.int64))]
     while queue:
-        S = queue.pop()
-        members = np.nonzero(S)[0]
-        for g in range(G.order):
-            if S[g]:
-                continue
-            T = G.subgroup_closure([int(x) for x in members] + [g])
+        S, maps = queue.pop()
+        least = np.flatnonzero(_orbit_min(maps) == np.arange(G.order))
+        for g in least[1:].tolist():
+            gens = np.vstack([maps, G.right_map(g)])
+            T = _close(S, gens)
             key = T.tobytes()
             if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded("order_cap_exceeded",
                                       "too many subgroups", cap=cap)
                 seen[key] = T
-                queue.append(T)
+                queue.append((T, gens))
     return sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
 
 

@@ -695,20 +695,25 @@ class FiniteGroup:
     def _generate(self, seeds) -> tuple[np.ndarray, np.ndarray]:
         """The subgroup H = <seeds> as a mask, and maps x ↦ x·s generating it.
 
-        H is the closure of {e} under x ↦ x·s = (s^-1·x^-1)^-1, a gather on
-        the row of s^-1.  Only a seed outside the subgroup so far gets a
-        map, and each such seed at least doubles it, so there are at most
-        log2 |H| maps; their orbits are the cosets x·H.
+        H is the closure of {e} under the maps x ↦ x·s.  Only a seed outside
+        the subgroup so far gets a map, and each such seed at least doubles
+        it, so there are at most log2 |H| maps; their orbits are the cosets
+        x·H.
         """
-        inv = self.inverses()
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
         maps = np.empty((0, self.order), dtype=np.int64)
         for s in np.atleast_1d(np.asarray(seeds, dtype=np.int64)).tolist():
             if not mask[s]:
-                maps = np.vstack([maps, inv[self.row(int(inv[s]))[inv]]])
+                maps = np.vstack([maps, self.right_map(s)])
                 mask = _close(mask, maps)
         return mask, maps
+
+    def right_map(self, s: int) -> np.ndarray:
+        """x ↦ x·s as an index map: x·s = (s^-1·x^-1)^-1, a gather on the
+        Cayley row of s^-1."""
+        inv = self.inverses()
+        return inv[self.row(int(inv[s]))[inv]]
 
     def normal_closure_mask(self, seed_mask: np.ndarray) -> np.ndarray:
         closed = _close(seed_mask, self._conjugations())

@@ -18,7 +18,7 @@ large exhaustive sweeps with numpy, on the images of the instances' points.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -61,48 +61,75 @@ def _instance_chunks(n: int, fixed: tuple[int, ...], length: int):
     range(n), in lexicographic order of t and in chunks of at most CHUNK.
 
     A chunk holds one tuple per column, in the least unsigned type that
-    holds n.  A tuple is a head (its first points) and a tail; the head is
-    the shortest for which the tails of one head fit in a chunk.  Heads
-    stream from itertools, the sorted pool of points free of each head
-    comes from one boolean mask per chunk, and the tails are that pool
-    gathered at the injective tuples over its positions, listed once.
+    holds n.  A tuple is a head (fixed and its next points) and a tail; the
+    head is the shortest for which the tails of one head fit in a chunk.
+    Heads are read from itertools in blocks of whole chunks whose pools
+    hold at most 8 CHUNK points (an empty tail, past CHUNK points, needs
+    none); each head's pool, the sorted points it leaves free, comes from
+    one boolean mask per block, and the tails are that pool gathered at
+    the injective tuples over its positions, listed once.  A chunk is one
+    array: its head rows, then one gather.
     """
     free = n - len(fixed)
     head = 0
     while math.perm(free - head, length - head) > CHUNK:
         head += 1
-    tails = math.perm(free - head, length - head)
-    idx = np.fromiter(chain.from_iterable(permutations(range(free - head),
-                                                       length - head)),
-                      dtype=np.intp, count=tails * (length - head))
-    idx = idx.reshape(tails, length - head).T
-    heads = (fixed + h for h in permutations(
+    width, tail = len(fixed) + head, length - head
+    tails = math.perm(n - width, tail)
+    per = max(1, CHUNK // tails)
+    idx = _injective(n - width, tail)
+    block = per * max(1, 8 * CHUNK // ((n - width) * per))
+    dtype = np.min_scalar_type(n)
+    heads = chain.from_iterable(fixed + h for h in permutations(
         [p for p in range(n) if p not in fixed], head))
-    width = len(fixed) + head
-    while block := list(islice(heads, CHUNK // idx.shape[1])):
-        H = np.array(block, np.min_scalar_type(n)).reshape(len(block), width)
-        k = np.arange(len(H))
-        unused = np.ones((len(H), n), dtype=bool)
-        unused[k[:, None], H] = False
-        pool = np.nonzero(unused)[1].astype(H.dtype).reshape(len(H), n - width)
-        yield np.concatenate(
-            (np.broadcast_to(H.T[:, :, None], (width, len(H), idx.shape[1])),
-             pool.take(idx, axis=1).swapaxes(0, 1))
-        ).reshape(width + len(idx), -1)
+    left = math.perm(free, head)
+    while left:
+        k, left = min(block, left), left - min(block, left)
+        H = np.fromiter(heads, dtype, count=k * width).reshape(k, width)
+        if tail:
+            unused = np.ones((k, n), dtype=bool)
+            unused[np.arange(k)[:, None], H] = False
+            pools = np.broadcast_to(np.arange(n, dtype=dtype), (k, n))[
+                unused].reshape(k, n - width)
+        for lo in range(0, k, per):
+            h = H[lo:lo + per]
+            out = np.empty((width + tail, len(h) * tails), dtype)
+            rows = out.reshape(width + tail, len(h), tails)
+            rows[:width] = h.T[:, :, None]
+            if tail:
+                pools[lo:lo + per].take(idx, axis=1,
+                                        out=rows[width:].transpose(1, 0, 2))
+            yield out
 
 
-def _images(points: np.ndarray, moves) -> np.ndarray:
-    """Images of the instances' own points under a product of cycles.
+def _injective(m: int, t: int) -> np.ndarray:
+    """The injective t-tuples over range(m) in lexicographic order, one per
+    column: those that start at f are f over the (t - 1)-tuples of
+    range(m - 1), each point p >= f moved up by one."""
+    tuples = np.zeros((0, 1), dtype=np.intp)
+    for k in range(m - t + 1, m + 1):
+        starts = np.arange(k)
+        rest = tuples[:, None] + (tuples[:, None] >= starts[:, None])
+        tuples = np.vstack([starts.repeat(tuples.shape[1])[None],
+                            rest.reshape(len(tuples), k * tuples.shape[1])])
+    return tuples
 
-    ``points[j, k]`` is point j of instance k.  A move (src, dst) is the
-    cycle taking point src[i] to point dst[i]; the moves compose left to
-    right on the right of the images R, (R ∘ c)(p) = R(c(p)), by one row
-    copy each.
-    """
-    images = points.copy()
-    for src, dst in moves:
-        images[src] = images[dst]
-    return images
+
+def _images(points: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Images of the instances' own points under a product of cycles that
+    takes point j of each instance to its point ``order[j]``, for
+    ``points[j, k]`` point j of instance k: one row gather."""
+    return points.take(order, axis=0)
+
+
+def _row_order(length: int, cycles) -> np.ndarray:
+    """The row order of a product of cycles of tuple positions, c taking
+    the point at c[i] to the one at c[i + 1]; the cycles compose left to
+    right on the right of the images R, (R ∘ c)(p) = R(c(p))."""
+    order = np.arange(length)
+    for c in cycles:
+        order[c] = order[np.roll(c, -1)]
+    return order
 
 
 def _sweep(n: int, fixed: tuple[int, ...], length: int, lhs, rhs,
@@ -112,13 +139,13 @@ def _sweep(n: int, fixed: tuple[int, ...], length: int, lhs, rhs,
     Instances come from _instance_chunks, and a cycle is a list of tuple
     positions, so both sides fix every point off the tuple: they are equal
     as permutations of range(n) iff the images of the tuple's own points
-    are, a byte each for n < 256.  Returns the number of instances.  The
+    are, a byte each for n < 256.  Each side is one row order, composed
+    once, and one gather per chunk.  Returns the number of instances.  The
     first instance in that order whose images differ raises PropertyFailure,
     with its points (1-based) named by ``fields``: name -> tuple positions,
     or one position.
     """
-    lhs, rhs = ([(np.array(c), np.roll(c, -1)) for c in side]
-                for side in (lhs, rhs))
+    lhs, rhs = (_row_order(len(fixed) + length, side) for side in (lhs, rhs))
     total = 0
     for points in _instance_chunks(n, fixed, length):
         left, right = _images(points, lhs), _images(points, rhs)
@@ -172,9 +199,9 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     lexicographic order.  Chunks of them are checked at once on the images
     of their own points under (x,y,a) ∘ (x,y,b) and (x,a) ∘ (y,b); a
     violation reports the first bad instance in that order.  The spot
-    checks draw their placements one by one and check the draws of a
-    shape at once on n-wide image rows; a violation reports the first bad
-    draw.
+    checks draw their shapes in one rng call and their placements and
+    relabelings in another, and check the draws of a shape at once on
+    n-wide image rows; a violation reports the first bad draw.
     """
     _require(min(seed, random_samples, full_cap_points) >= 0,
              "seed, sample count and full cap must be >= 0", seed=seed,
@@ -209,14 +236,20 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
     # conjugation-equivariance: relabeling by any sigma transports an
     # instance at (x,y,a,b) to the instance at the image points
     report["equivariance_checks"] = _spot_check(
-        n, shapes, [(rng.integers(len(shapes)), rng.permutation(n),
-                     rng.permutation(n)) for _ in range(200)],
-        _relabel_sides, "conjugation equivariance")
+        n, shapes, *_draws(rng, n, len(shapes), 200, 2), _relabel_sides,
+        "conjugation equivariance")
     report["random_checks"] = _spot_check(
-        n, shapes, [(rng.integers(len(shapes)), rng.permutation(n))
-                    for _ in range(random_samples)],
+        n, shapes, *_draws(rng, n, len(shapes), random_samples, 1),
         _merge_sides, "merge identity")
     return report
+
+
+def _draws(rng, n: int, kinds: int, k: int, per: int):
+    """k draws of a shape index below ``kinds`` and ``per`` permutations of
+    range(n): one rng call for the indices, one for the permutations."""
+    which = rng.integers(kinds, size=k)
+    perms = rng.permuted(np.tile(np.arange(n), (k * per, 1)), axis=1)
+    return which, perms.reshape(k, per, n)
 
 
 # --------------------------------------------------------------------------
@@ -267,19 +300,16 @@ def _relabel_sides(n: int, la: int, points: np.ndarray, sigma: np.ndarray):
             np.hstack([_cycles(n, _compose(sigma, c)) for c in cycles]))
 
 
-def _spot_check(n: int, shapes: list[tuple[int, int]], draws: list,
-                sides, name: str) -> int:
+def _spot_check(n: int, shapes: list[tuple[int, int]], which: np.ndarray,
+                perms: np.ndarray, sides, name: str) -> int:
     """Check sides(n, la, points, *rest) = two equal image arrays on every
-    draw (shape index, permutation, *rest): the points (x, y, a, b) are the
-    permutation's first 2 + la + lb, and the draws of one shape go at once.
-    Returns the number of draws; the first bad one in draw order raises
-    PropertyFailure naming its points (1-based), and sigma if it has one.
+    draw k, of shape index which[k] and permutations perms[k] = (first,
+    *rest): the points (x, y, a, b) are first's first 2 + la + lb, and the
+    draws of one shape go at once.  Returns the number of draws; the first
+    bad one in draw order raises PropertyFailure naming its points
+    (1-based), and sigma if it has one.
     """
-    if not draws:
-        return 0
-    which = np.array([d[0] for d in draws], dtype=np.intp)
-    perms = np.array([d[1:] for d in draws]).reshape(len(draws), -1, n)
-    bad = np.zeros(len(draws), dtype=bool)
+    bad = np.zeros(len(which), dtype=bool)
     for s in np.unique(which).tolist():
         k = np.flatnonzero(which == s)
         la, lb = shapes[s]
@@ -296,7 +326,7 @@ def _spot_check(n: int, shapes: list[tuple[int, int]], draws: list,
             details["sigma"] = tuple(p[1])
         raise PropertyFailure("search_exhausted", f"{name} violated",
                               **details)
-    return len(draws)
+    return len(which)
 
 
 # --------------------------------------------------------------------------

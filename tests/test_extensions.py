@@ -268,6 +268,35 @@ def test_iwasawa_premises(sl25, sym3):
     assert "cover" in e.value.message
 
 
+def _subgroups_by_closures(G):
+    """All subgroups, closing members + [g] afresh for every subgroup S and
+    every g outside it: the loop enumerate_subgroups replaced."""
+    trivial = mask_from_indices(G, [0])
+    seen = {trivial.tobytes(): trivial}
+    queue = [trivial]
+    while queue:
+        S = queue.pop()
+        members = [int(x) for x in np.nonzero(S)[0]]
+        for g in range(G.order):
+            if not S[g]:
+                T = G.subgroup_closure(members + [g])
+                if seen.setdefault(T.tobytes(), T) is T:
+                    queue.append(T)
+    return sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
+
+
+@pytest.mark.parametrize("name, count", [("Sym(4)", 30), ("SL(2,3)", 15),
+                                         ("Alt(5)", 59)])
+def test_enumerate_subgroups_matches_fresh_closures(name, count):
+    """Closing <S, g> from S's kept maps, one g per coset g·S, lists the
+    subgroups that closing every members + [g] afresh lists, in order."""
+    G = build_group(parse_group_spec(name))
+    got, want = enumerate_subgroups(G), _subgroups_by_closures(G)
+    assert len(got) == len(want) == count
+    assert all((a == b).all() for a, b in zip(got, want))
+    assert all(is_subgroup_mask(G, K) for K in got)
+
+
 def test_enumerate_subgroups_cap(sym4):
     """Sym(4) has 30 subgroups; a cap below that is a cap error (exit 3),
     like every other ``order_cap_exceeded``."""

@@ -333,6 +333,72 @@ def test_sweep_compares_both_sides():
         assert e.value.details == {"x": 1, "t": (2, 3)}
 
 
+def test_tails_table_is_the_injective_tuples():
+    """The tails table lists the injective t-tuples over range(m) in
+    itertools' order, one per column, at every m <= 7 and t <= m."""
+    for m in range(8):
+        for t in range(m + 1):
+            got = permfact._injective(m, t)
+            want = list(itertools.permutations(range(m), t))
+            assert got.shape == (t, len(want))
+            assert [tuple(c) for c in got.T.tolist()] == want
+
+
+@pytest.mark.parametrize("chunk", [64, 4096, permfact.CHUNK])
+def test_chunk_size_changes_nothing(monkeypatch, chunk):
+    """Every chunk size gives the same tuples in the same order, the same
+    counts and the same first bad instance.  At 64 the 8-point sweeps
+    cross head blocks: (3, 3) on 8 points has 1,680 heads of 4 points, in
+    blocks of 128."""
+    monkeypatch.setattr(permfact, "CHUNK", chunk)
+    for n, fixed, length in [(8, (), 8), (8, (), 5), (9, (0, 1), 4),
+                             (7, (), 1), (300, (), 2)]:
+        chunks = list(permfact._instance_chunks(n, fixed, length))
+        assert max(c.shape[1] for c in chunks) <= chunk
+        rest = [p for p in range(n) if p not in fixed]
+        assert [tuple(t) for c in chunks for t in c.T.tolist()] == [
+            fixed + t for t in itertools.permutations(rest, length)]
+    assert scan_cycle_quotient(8, 3)["counts"] == {
+        m: len(list(itertools.permutations(range(8), 2 * m + 1)))
+        for m in range(4)}
+    assert scan_merge(8, half_max=1, random_samples=0)["shapes"] == {
+        "1,1": {"mode": "full", "instances": 1680},
+        "1,3": {"mode": "full", "instances": 20160},
+        "3,1": {"mode": "full", "instances": 20160},
+        "3,3": {"mode": "full", "instances": 40320}}
+    with pytest.raises(PropertyFailure) as e:  # false on every instance
+        permfact._sweep(9, (0, 1), 4, [[0, 2, 3]], [[0, 3, 2]], "false",
+                        {"x": 0, "t": [2, 3, 4, 5]})
+    assert e.value.details == {"x": 1, "t": (3, 4, 5, 6)}
+    instances = list(_merge_instances(8, 3, 3, False))
+    t, a, b = instances[30000]
+    _break_kernel(monkeypatch, instances[30001][0], t, chunk=chunk)
+    with pytest.raises(PropertyFailure) as e:
+        scan_merge(8, random_samples=0, shapes=[(3, 3)])
+    assert e.value.details == {"x": t[0] + 1, "y": t[1] + 1,
+                               "a": _one_based(a), "b": _one_based(b)}
+
+
+@pytest.mark.parametrize("n, m, counts", [
+    (300, 1, {0: 300, 1: 300 * 299 * 298}),
+    (9000, 0, {0: 9000}),
+])
+def test_sweep_memory_stays_bounded_past_255_points(n, m, counts):
+    """89,700 heads of 2 points and 26,730,600 instances of the quotient
+    identity at m = 1 on 300 points, and 9,000 heads of 9,000 points with
+    empty tails: the head blocks keep the traced peak at a few MB, where
+    one block of every head's pool took 81 MB at 300 points."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rep = scan_cycle_quotient(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["counts"] == counts
+    assert peak < 4 << 20
+
+
 def test_scan_merge_spot_checks_format_no_text(monkeypatch):
     """The spot checks stay on image arrays, and every requested random
     sample is checked."""
@@ -358,13 +424,20 @@ def _form_level_spot_checks(n, shapes, seed, samples):
     """The spot checks of scan_merge one draw at a time, from cycle_perm,
     perm_compose and merge_split: per equivariance draw its 0-based
     points, la, sigma and both sides; per random draw its points, la and
-    product."""
+    product.  The draws are scan_merge's: per kind, one rng call for the
+    shape indices and one for the permutations, two per equivariance
+    draw."""
     rng = np.random.default_rng(seed)
+
+    def draws(k, per):
+        which = rng.integers(len(shapes), size=k)
+        perms = rng.permuted(np.tile(np.arange(n), (k * per, 1)), axis=1)
+        for s, ps in zip(which.tolist(), perms.reshape(k, per, n).tolist()):
+            la, lb = shapes[s]
+            yield la, tuple(ps[0][:2 + la + lb]), *map(tuple, ps[1:])
+
     relabeled, merged = [], []
-    for _ in range(200):
-        la, lb = shapes[rng.integers(len(shapes))]
-        pts = tuple(int(v) for v in rng.permutation(n)[:2 + la + lb])
-        sigma = tuple(int(v) for v in rng.permutation(n))
+    for la, pts, sigma in draws(200, 2):
         x, y, a, b = pts[0], pts[1], pts[2:2 + la], pts[2 + la:]
         inv = perm_inverse(sigma)
         left = right = ()
@@ -374,9 +447,7 @@ def _form_level_spot_checks(n, shapes, seed, samples):
             right += cycle_perm(n, tuple(sigma[q] + 1 for q in cyc))
         assert left == right
         relabeled.append((pts, la, sigma, left))
-    for _ in range(samples):
-        la, lb = shapes[rng.integers(len(shapes))]
-        pts = tuple(int(v) for v in rng.permutation(n)[:2 + la + lb])
+    for la, pts in draws(samples, 1):
         merged.append((pts, la, merge_split(
             n, pts[0] + 1, pts[1] + 1, _one_based(pts[2:2 + la]),
             _one_based(pts[2 + la:]))["result"]))
@@ -506,10 +577,10 @@ def test_spot_checks_stay_checks_under_optimisation():
     assert out == "search_exhausted conjugation equivariance violated\n"
 
 
-def _break_kernel(monkeypatch, *instances):
+def _break_kernel(monkeypatch, *instances, chunk=64):
     """Make the kernel build a wrong left side (its images reversed) for
-    the given 0-based instance tuples, in chunks of 64 instances."""
-    monkeypatch.setattr(permfact, "CHUNK", 64)
+    the given 0-based instance tuples, in chunks of ``chunk`` instances."""
+    monkeypatch.setattr(permfact, "CHUNK", chunk)
     build = permfact._images
     calls = itertools.count()
 
