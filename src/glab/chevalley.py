@@ -34,6 +34,7 @@ from .groupcore import (
     SLSpec,
     _mul_mod,
     check_order,
+    gauss_jordan,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -95,8 +96,8 @@ def t_elem(n: int, p: int, root: Root, u: int) -> Mat:
     if u % p == 0:
         raise InputError("zero_parameter_for_w_or_t",
                          "t_alpha(u) needs an invertible u", u=u)
-    return mat_mul(w_elem(n, p, root, u),
-                   mat_inverse(w_elem(n, p, root, 1), n, p), n, p)
+    # w_a(1)^-1 = w_a(-1)
+    return mat_mul(w_elem(n, p, root, u), w_elem(n, p, root, -1), n, p)
 
 
 def is_diagonal(m: Mat, n: int) -> bool:
@@ -195,10 +196,9 @@ def enumerate_unipotent_products(n: int, p: int) -> dict:
     m = len(roots)
     prods = np.eye(n, dtype=np.int64)[None, :, :]
     for root in roots:
-        xs = np.stack([np.array(x_elem(n, p, root, s), dtype=np.int64).reshape(n, n)
-                       for s in range(p)])
         # (K, n, n) x (p, n, n) -> (K*p, n, n), prefix-major order
-        prods = np.einsum("kij,sjl->ksil", prods, xs).reshape(-1, n, n) % p
+        prods = _mul_mod(prods[:, None], _x_stack(n, p, root, np.arange(p)),
+                         p).reshape(-1, n, n)
     flat = prods.reshape(len(prods), n * n)
     distinct = len(np.unique(flat, axis=0))
     iu = np.tril_indices(n, -1)
@@ -271,8 +271,9 @@ def verify_weyl_torus_action(n: int, p: int) -> dict:
     """t_a(u) x_b(s) t_a(u)^-1 = x_b(u^<b,a> s) over all roots a, b.
 
     The root elements x_b(s) stack once; each root a builds its p - 1
-    elements t_a(u) form-level and conjugates the whole stack by them in
-    one product, against the root elements at u^<b,a>·s.
+    elements t_a(u) form-level, with t_a(u)^-1 = t_a(u^-1), and conjugates
+    the whole stack by them in one product, against the root elements at
+    u^<b,a>·s.
     """
     require_prime(p, "verify_weyl_torus_action")
     roots = all_roots(n)
@@ -283,11 +284,12 @@ def verify_weyl_torus_action(n: int, p: int) -> dict:
     pairings = np.array([[root_pairing(b, a) for b in roots] for a in roots])
     ks = np.unique(pairings)
     powers = np.array([[pow(u, int(k), p) for k in ks] for u in range(1, p)])
+    units = (range(1, p), [pow(u, -1, p) for u in range(1, p)])
     checked = failures = 0
     for alpha, row in zip(roots, pairings):
-        ts = [t_elem(n, p, alpha, u) for u in range(1, p)]
-        ta, tai = (np.array(m, dtype=np.int64).reshape(-1, 1, 1, n, n)
-                   for m in (ts, [mat_inverse(t, n, p) for t in ts]))
+        ta, tai = (np.array([t_elem(n, p, alpha, u) for u in us],
+                            dtype=np.int64).reshape(-1, 1, 1, n, n)
+                   for us in units)
         lhs = _mul_mod(_mul_mod(ta, x, p), _checked_inverse(ta, tai, p), p)
         mult = powers[:, np.searchsorted(ks, row), None]
         checked += lhs.size // (n * n)
@@ -411,34 +413,6 @@ def transport_into_opposite(n: int, p: int, t: Mat, target: Mat) -> Mat:
 # Gauss decomposition with prescribed diagonal
 
 
-def _ldu(m: Mat, n: int, p: int) -> tuple[Mat, Mat, Mat] | None:
-    """Unique L * D * U with L/U unit-triangular and D invertible, or None.
-
-    Elimination without row swaps meets a zero pivot exactly when a
-    leading principal minor of m vanishes; then it returns None.
-    """
-    a = [[m[i * n + j] % p for j in range(n)] for i in range(n)]
-    L = [[int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = a[col][col] % p
-        if piv == 0:
-            return None
-        inv = pow(piv, -1, p)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % p
-            L[r][col] = f
-            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    D = [a[i][i] % p for i in range(n)]
-    U = [[(a[i][j] * pow(D[i], -1, p)) % p if j >= i else 0 for j in range(n)]
-         for i in range(n)]
-    Lm = tuple(L[i][j] % p for i in range(n) for j in range(n))
-    Dm = tuple(D[i] if i == j else 0 for i in range(n) for j in range(n))
-    Um = tuple(U[i][j] % p for i in range(n) for j in range(n))
-    confirm(mat_mul(mat_mul(Lm, Dm, n, p), Um, n, p) == tuple(v % p for v in m),
-            "L·D·U must multiply back to the matrix")
-    return Lm, Dm, Um
-
-
 def gauss_prescribed(G: FiniteGroup, g: int, t: int) -> dict:
     """Conjugate g so its Gauss decomposition has diagonal exactly t.
 
@@ -458,11 +432,9 @@ def gauss_prescribed(G: FiniteGroup, g: int, t: int) -> dict:
     diag_entries(t_mat, n)  # not_diagonal if it is not
     for x in range(G.order):
         m = G.elements[G.conj(g, x)]
-        ldu = _ldu(m, n, p)
-        if ldu is None:
-            continue
-        L, D, U = ldu
-        if D == t_mat:
+        ldu = gauss_jordan(m, n, p)[1]
+        if ldu is not None and ldu[1] == t_mat:
+            L, D, U = ldu
             confirm(mat_mul(mat_mul(L, D, n, p), U, n, p) == m,
                     "L·D·U must multiply back to the conjugate")
             return {"x": x, "v": L, "t": D, "u": U, "conjugate": m}

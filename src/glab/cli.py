@@ -311,43 +311,38 @@ def _run_perm_distance(a) -> dict:
                                   parse_element(G, a.tau), cap=a.cap)
 
 
-def _cocycle_from_args(a):
+def _extension_from_args(a):
     if a.cocycle == "carry":
-        return ext.carry_cocycle()
-    base_spec = parse_group_spec(a.base)
-    base = build_group(base_spec)
+        return ext.build_extension(*ext.carry_cocycle())
+    base = build_group(parse_group_spec(a.base))
     if a.cocycle == "coboundary":
-        ext.check_extension_order(base, a.p)
-        return base_spec, a.p, ext.coboundary_cocycle(base, a.p, seed=a.seed)
-    if a.cocycle.startswith("file:"):
-        return base_spec, a.p, _read_json(a.cocycle[5:], "cocycle file")
-    raise InputError("invalid_parameters",
-                     "cocycle must be carry, coboundary, or file:<path>",
-                     got=a.cocycle)
+        check_order((a.p, base.order), DEFAULT_ORDER_CAP)
+        table = ext.coboundary_cocycle(base, a.p, seed=a.seed)
+    elif a.cocycle.startswith("file:"):
+        table = _read_json(a.cocycle[5:], "cocycle file")
+    else:
+        raise InputError("invalid_parameters",
+                         "cocycle must be carry, coboundary, or file:<path>",
+                         got=a.cocycle)
+    return ext.build_extension(base, a.p, table)
 
 
 def _run_ext_build(a) -> dict:
-    base_spec, p, table = _cocycle_from_args(a)
-    spec, E = ext.build_extension(base_spec, p, table)
-    r = ext.identity_inverse_check(E, spec)
-    r["p"] = p
-    r["base_order"] = E.order // p
-    return r
+    E = _extension_from_args(a)
+    return {**ext.identity_inverse_check(E), "p": E.spec.p,
+            "base_order": E.parent.order}
 
 
 def _run_ext_split(a) -> dict:
-    base_spec, p, table = _cocycle_from_args(a)
-    spec, E = ext.build_extension(base_spec, p, table)
-    r = ext.split_check(E, spec)
+    E = _extension_from_args(a)
+    r = ext.split_check(E)
     if r["complement"] is not None:
         r["complement"] = [element_text(E, i) for i in r["complement"]]
     return r
 
 
 def _run_ext_bound(a) -> dict:
-    base_spec, p, table = _cocycle_from_args(a)
-    spec, E = ext.build_extension(base_spec, p, table)
-    return ext.image_bound_check(E, spec, n_max=a.n_max)
+    return ext.image_bound_check(_extension_from_args(a), n_max=a.n_max)
 
 
 def _run_ext_iwasawa(a) -> dict:

@@ -3,9 +3,10 @@
 A cocycle table h on a finite group H (values in Z/p) determines the
 extension E = Z/p x_h H with multiplication
 (a, x)(b, y) = (a + b + h(x, y), xy).  The group engine builds E from a
-``CocycleExtSpec``; this module supplies the validation, the splitting
-search, the sumset bound on powers of the section image, the Iwasawa-style
-covering certificate, and the four-factor commutator expansion check.
+``CocycleExtSpec`` and keeps H as ``E.parent``, so each check takes E
+alone.  This module supplies the validation, the splitting search, the
+sumset bound on powers of the section image, the Iwasawa-style covering
+certificate, and the four-factor commutator expansion check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .groupcore import (
     DEFAULT_ORDER_CAP,
     CocycleExtSpec,
     FiniteGroup,
-    GroupSpec,
     _close,
     _orbit_min,
     _require,
@@ -69,46 +69,42 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
     return h
 
 
-def check_extension_order(base: FiniteGroup, p: int,
-                          cap: int = DEFAULT_ORDER_CAP) -> None:
-    """Refuse an extension Z/p x_h H whose order p·|H| exceeds ``cap``."""
+def build_extension(base: FiniteGroup, p: int, table,
+                    cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Validate the table and build E = Z/p x_h H, which keeps the built
+    base group H as ``E.parent``.  An order p·|H| above ``cap`` is refused
+    before the table is read."""
     check_order((p, base.order), cap)
-
-
-def build_extension(base_spec: GroupSpec, p: int, table,
-                    cap: int = DEFAULT_ORDER_CAP
-                    ) -> tuple[CocycleExtSpec, FiniteGroup]:
-    """Validate the table and build the extension group Z/p x_h H.
-
-    An order p·|H| above ``cap`` is refused before the table is read.
-    """
-    base = build_group(base_spec, cap=cap)
-    check_extension_order(base, p, cap)
     h = validate_cocycle(base, table, p)
-    spec = CocycleExtSpec(p=p, base=base_spec,
-                          values=tuple(int(v) for v in h.reshape(-1)))
-    E = build_group(spec, cap=cap)
+    E = build_group(CocycleExtSpec(p=p, base=base.spec,
+                                   values=tuple(int(v) for v in h.reshape(-1))),
+                    cap=cap)
     confirm(E.order == p * base.order, "extension order is not p·|H|",
             order=E.order, expected=p * base.order)
-    return spec, E
+    return E
 
 
-def identity_inverse_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
+def _cocycle_of(E: FiniteGroup) -> tuple[FiniteGroup, np.ndarray]:
+    """The base group of an extension E and its cocycle table."""
+    if not isinstance(E.spec, CocycleExtSpec):
+        raise InputError("group_mismatch", "needs a cocycle extension")
+    m = E.parent.order
+    return E.parent, np.asarray(E.spec.values, dtype=np.int64).reshape(m, m)
+
+
+def identity_inverse_check(E: FiniteGroup) -> dict:
     """Confirm the closed identity/inverse formulas against the product law.
 
     The predicted identity is (-h(e,e), e) and the predicted inverse of
     (a, x) is (-a - h(x, x^-1) - h(e,e), x^-1); both are certified through
     E's multiplication alone (e*g = g and g*g^-1 = e on every element).
     """
-    base = build_group(spec.base)
-    m = base.order
-    h = np.asarray(spec.values, dtype=np.int64).reshape(m, m)
+    base, h = _cocycle_of(E)
     h11 = int(h[0, 0])
-    p = spec.p
+    p = E.spec.p
     ident = ((-h11) % p, base.elements[0])
     confirm(E.elements[0] == ident, "extension identity is not (-h(e,e), e)",
             element=0)
-    checked = 0
     for g in range(E.order):
         a, xf = E.elements[g]
         xi = base.index[xf]
@@ -117,13 +113,12 @@ def identity_inverse_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
         confirm(E.mul_form(ident, E.elements[g]) == E.elements[g]
                 and E.mul_form(E.elements[g], pred_inv) == ident,
                 "identity/inverse formula violated", element=g)
-        checked += 1
     from .groupcore import form_to_text
-    return {"order": E.order, "identity": form_to_text(spec, ident),
-            "checked": checked}
+    return {"order": E.order, "identity": form_to_text(E.spec, ident),
+            "checked": E.order}
 
 
-def split_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
+def split_check(E: FiniteGroup) -> dict:
     """Decide whether the extension splits (has a complement to the fiber).
 
     A complement K meets each fiber once, so the section it defines is a
@@ -131,8 +126,7 @@ def split_check(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
     generators.  Trying all p^k lift assignments and closing is therefore
     exhaustive: the extension splits iff some closure has base order.
     """
-    base = build_group(spec.base)
-    p = spec.p
+    base, p = _cocycle_of(E)[0], E.spec.p
     gen_forms = [base.elements[g] for g in base.generators]
     tried = 0
     for lift in iter_product(range(p), repeat=len(gen_forms)):
@@ -171,13 +165,13 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = 20_000) -> list[np.ndarray]:
     return sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
 
 
-def complement_scan(E: FiniteGroup, spec: CocycleExtSpec) -> dict:
+def complement_scan(E: FiniteGroup) -> dict:
     """Independent splitting decision by full subgroup enumeration.
 
     The fiber over the base identity is the central Z/p; a complement is a
     subgroup of base order meeting it only in the identity.
     """
-    base_order = E.order // spec.p
+    base_order = _cocycle_of(E)[0].order
     fiber = np.array([f[1] == E.elements[0][1] for f in E.elements])
     for K in enumerate_subgroups(E):
         if int(K.sum()) == base_order and int((K & fiber).sum()) == 1:
@@ -193,8 +187,7 @@ def _sumset(values: set[int], k: int, p: int) -> set[int]:
     return out
 
 
-def image_bound_check(E: FiniteGroup, spec: CocycleExtSpec,
-                      n_max: int = 4) -> dict:
+def image_bound_check(E: FiniteGroup, n_max: int = 4) -> dict:
     """Such first coordinates as P^n can reach, against the cocycle sumset.
 
     P is the difference set of the canonical section image {(0, x)}; the
@@ -202,10 +195,8 @@ def image_bound_check(E: FiniteGroup, spec: CocycleExtSpec,
     (2n-1)-sumset(im h) + n-sumset(-im h) - n*h(e,e).
     """
     _require(n_max >= 1, "the bound needs n_max >= 1", n_max=n_max)
-    base = build_group(spec.base)
-    m = base.order
-    h = np.asarray(spec.values, dtype=np.int64).reshape(m, m)
-    p = spec.p
+    base, h = _cocycle_of(E)
+    m, p = base.order, E.spec.p
     h11 = int(h[0, 0])
     im_h = {int(v) % p for v in h.reshape(-1)}
     neg_im = {(-v) % p for v in im_h}
@@ -316,10 +307,11 @@ def coboundary_cocycle(base: FiniteGroup, p: int, seed: int = 0) -> np.ndarray:
     return (u[:, None] + u[None, :] - u[M]) % p
 
 
-def carry_cocycle() -> tuple[GroupSpec, int, np.ndarray]:
+def carry_cocycle() -> tuple[FiniteGroup, int, np.ndarray]:
     """The carry bit of binary addition: extends Z/2 by Z/2 into Z/4."""
     from .groupcore import CycSpec
-    return CycSpec(2), 2, np.array([[0, 0], [0, 1]], dtype=np.int64)
+    table = np.array([[0, 0], [0, 1]], dtype=np.int64)
+    return build_group(CycSpec(2)), 2, table
 
 
 def upper_triangular_mask(G: FiniteGroup) -> np.ndarray:

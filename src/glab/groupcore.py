@@ -194,22 +194,47 @@ def mat_identity(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-def mat_inverse(a: tuple, n: int, p: int) -> tuple:
-    """Inverse mod p by Gauss-Jordan; raises if a is singular."""
-    m = [[a[i * n + j] for j in range(n)] + [int(i == j) for j in range(n)]
+def gauss_jordan(a: tuple, n: int, p: int) -> tuple[tuple | None, tuple | None]:
+    """(a^-1, (L, D, U)) mod p from one Gauss-Jordan pass on [a | I] that
+    pivots on the first nonzero entry of each column; a^-1 is None when a
+    is singular.  a = L·D·U (L, U unitriangular) is read off the forward
+    steps, as multipliers, pivots and pivot rows scaled to 1, when no pivot
+    needs a row swap, i.e. no leading principal minor vanishes; otherwise
+    the factors are None.  Returned factors are checked to multiply back.
+    """
+    m = [[a[i * n + j] % p for j in range(n)] + [int(i == j) for j in range(n)]
          for i in range(n)]
+    L, D, U = list(mat_identity(n)), [0] * (n * n), [0] * (n * n)
+    swapped = False
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            raise InputError("invalid_parameters", "singular matrix mod p")
+            return None, None
+        swapped |= piv != col
         m[col], m[piv] = m[piv], m[col]
+        D[col * n + col] = m[col][col]
         inv_p = pow(m[col][col], -1, p)
         m[col] = [(v * inv_p) % p for v in m[col]]
+        U[col * n:col * n + n] = m[col][:n]
         for r in range(n):
             if r != col and m[r][col]:
                 f = m[r][col]
+                if r > col:
+                    L[r * n + col] = f * inv_p % p
                 m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
-    return tuple(m[i][n + j] % p for i in range(n) for j in range(n))
+    inverse = tuple(m[i][n + j] for i in range(n) for j in range(n))
+    if swapped:
+        return inverse, None
+    confirm(mat_mul(mat_mul(L, D, n, p), U, n, p) == tuple(v % p for v in a),
+            "L·D·U must multiply back to the matrix")
+    return inverse, (tuple(L), tuple(D), tuple(U))
+
+
+def mat_inverse(a: tuple, n: int, p: int) -> tuple:
+    """Inverse mod p by :func:`gauss_jordan`; raises if a is singular."""
+    inverse = gauss_jordan(a, n, p)[0]
+    _require(inverse is not None, "singular matrix mod p")
+    return inverse
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +247,7 @@ class _Model:
     generator_forms: list
     mul: Callable
     inv: Callable
-    # quotient models carry their parent group for projection bookkeeping
+    # the group a quotient (with its projection) or an extension came from
     parent: "FiniteGroup | None" = None
     parent_projection: "np.ndarray | None" = None
     # times(frontier) = [f·g for f in frontier for g in generator_forms],
@@ -373,7 +398,7 @@ def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
     ident = ((-h11) % p, base.elements[0])
     gens = [((1 - h11) % p, base.elements[0])]
     gens += [(0, base.elements[g]) for g in base.generators]
-    return _Model(ident, gens, mul, inv)
+    return _Model(ident, gens, mul, inv, parent=base)
 
 
 def _quotient_model(spec: QuotientSpec, cap: int) -> _Model:
@@ -561,6 +586,12 @@ class FiniteGroup:
         self._class_walks: dict = {"power": {}, "ball": {}}
         self._center: np.ndarray | None = None
         self._derived: np.ndarray | None = None
+
+    @property
+    def parent(self) -> FiniteGroup | None:
+        """The group this one came from: a quotient's parent, an
+        extension's base, None for any other group."""
+        return self._model.parent
 
     # -- arithmetic on indices
 
@@ -986,11 +1017,10 @@ def is_normal_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
 
 def quotient_projection(Q: FiniteGroup) -> np.ndarray:
     """For a quotient group: array mapping parent index -> quotient index."""
-    if Q._model.parent is None:
-        raise InputError("group_mismatch", "projection needs a quotient group")
-    parent = Q._model.parent
     rep_of = Q._model.parent_projection
-    return np.array([Q.index[parent.elements[int(r)]] for r in rep_of],
+    if rep_of is None:
+        raise InputError("group_mismatch", "projection needs a quotient group")
+    return np.array([Q.index[Q.parent.elements[int(r)]] for r in rep_of],
                     dtype=np.int64)
 
 
@@ -1270,9 +1300,8 @@ def parse_element(G: FiniteGroup, text: str) -> int:
 
 def _form_index(G: FiniteGroup, form, text: str) -> int:
     if isinstance(G.spec, QuotientSpec):
-        parent = G._model.parent
-        rep = G._model.parent_projection[_form_index(parent, form, text)]
-        return G.index[parent.elements[rep]]
+        rep = G._model.parent_projection[_form_index(G.parent, form, text)]
+        return G.index[G.parent.elements[rep]]
     if form not in G.index:
         raise InputError("group_mismatch", f"element {text!r} not in the group")
     return G.index[form]

@@ -29,6 +29,7 @@ from .groupcore import (
     SymSpec,
     _cycles_of,
     _require,
+    check_order,
     is_normal_mask,
     is_symmetric_mask,
     perm_compose,
@@ -54,6 +55,17 @@ def cycle_perm(n: int, points: tuple[int, ...]) -> tuple[int, ...]:
 
 CHUNK = 1 << 13
 """Instances per chunk, so that the arrays of a chunk stay in the cache."""
+
+SWEEP_CAP = 5 * 10 ** 7
+"""Most instances one sweep may check: 0.5 s at 10^8 a second on 2 cores."""
+
+
+def _check_sweeps(n: int, sweeps) -> None:
+    """Refuse, before any runs, a sweep (fixed, length) over more than
+    SWEEP_CAP instances, the injective ``length``-tuples of n - fixed points."""
+    for fixed, length in sweeps:
+        check_order(range(n - fixed, n - fixed - length, -1), SWEEP_CAP,
+                    "sweep instances")
 
 
 def _instance_chunks(n: int, fixed: tuple[int, ...], length: int):
@@ -176,6 +188,7 @@ def scan_cycle_quotient(n: int = 12, m_max: int = 3) -> dict:
                          "the quotient identity with lists of length m_max "
                          "needs m_max >= 0 and 2 m_max + 1 <= n points",
                          n=n, m_max=m_max)
+    _check_sweeps(n, [(0, 2 * m + 1) for m in range(m_max + 1)])
     counts = {}
     for m in range(m_max + 1):
         a, b = list(range(1, m + 1)), list(range(m + 1, 2 * m + 1))
@@ -219,6 +232,9 @@ def scan_merge(n: int = 12, half_max: int = 3, full_cap_points: int = 8,
            for la, lb in shapes):
         raise InputError("even_length", "the merge identity needs odd lists",
                          shapes=shapes)
+    # a full sweep places all 2 + la + lb points, a slice all but x and y
+    _check_sweeps(n, [(0, 2 + la + lb) if 2 + la + lb <= full_cap_points
+                      else (2, la + lb) for la, lb in shapes])
     report = {"n": n, "shapes": {}}
 
     for la, lb in shapes:

@@ -12,8 +12,8 @@ branch-and-bound over bitmask adjacency (the first maximum found is the
 lexicographically least), minimal covers by iterative deepening from the
 counting bound.  Each routine reports concrete witnesses.  One clique
 search, :func:`_max_clique`, answers every P-free question; a size cap
-stops it for ``spread_length``, for ``permfact.express_even``'s support
-budget and, above ``EXACT_CLIQUE_CAP`` elements, for the thickness.
+stops it for ``permfact.express_even``'s support budget and, above
+``EXACT_CLIQUE_CAP`` elements, for the thickness.
 
 Both searches use the group's symmetry, which leaves every witness as it
 would be without it.  The P-free graph is a Cayley graph, on which left
@@ -409,22 +409,18 @@ def normal_core_probe(G: FiniteGroup, cert: dict) -> dict:
 
 def preimage_thickness_check(Q: FiniteGroup, X: np.ndarray) -> dict:
     """f^-1[X] is N-thick iff X is: minimal thickness values must agree."""
-    parent = Q._model.parent
-    proj = quotient_projection(Q)
-    pre = X[proj]
+    pre = X[quotient_projection(Q)]
     tx = thickness(Q, X)
-    tp = thickness(parent, pre)
+    tp = thickness(Q.parent, pre)
     return {"thickness_image": tx["value"], "thickness_preimage": tp["value"],
             "holds": tx["value"] == tp["value"]}
 
 
 def image_thickness_check(Q: FiniteGroup, Z: np.ndarray) -> dict:
     """Pushing a thick set through an epimorphism cannot raise its thickness."""
-    parent = Q._model.parent
-    proj = quotient_projection(Q)
     img = np.zeros(Q.order, dtype=bool)
-    img[proj[np.nonzero(Z)[0]]] = True
-    tz = thickness(parent, Z)
+    img[quotient_projection(Q)[np.nonzero(Z)[0]]] = True
+    tz = thickness(Q.parent, Z)
     ti = thickness(Q, img)
     return {"thickness_source": tz["value"], "thickness_image": ti["value"],
             "holds": ti["value"] <= tz["value"]}
@@ -539,23 +535,3 @@ def covering_number(G: FiniteGroup) -> dict:
             confirm(False, "class powers cycled below G")
         per_class.append({"rep": int(r), "power": n})
     return {"value": max(pc["power"] for pc in per_class), "per_class": per_class}
-
-
-def spread_length(G: FiniteGroup, S: np.ndarray, cap: int | None = None) -> dict:
-    """Longest sequence with all pairwise quotients g_i^-1 g_j inside S.
-
-    S must be symmetric (otherwise the pair condition depends on the
-    ordering).  With the identity inside S repetition makes sequences
-    unbounded, so the cap (default |G|) is returned with status "capped".
-    """
-    if cap is None:
-        cap = G.order
-    if S.sum() == 0:
-        return {"value": 1, "witness": [0], "status": "exact"}
-    if not is_symmetric_mask(G, S):
-        raise InputError("not_symmetric", "spread needs a symmetric set")
-    if S[0]:
-        return {"value": cap, "witness": [0] * cap, "status": "capped"}
-    clique = _quotient_clique(G, S, cap=cap)
-    return {"value": min(len(clique), cap), "witness": clique[:cap],
-            "status": "exact" if len(clique) < cap else "capped"}

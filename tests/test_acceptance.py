@@ -230,7 +230,7 @@ def test_criterion_06_thick_set_suite(cyc5, cyc7, sym4, alt5):
     # epimorphism laws on Cyc(12) -> Cyc(6) and SL(2,5) -> PSL(2,5)
     for text in ("Quot(Cyc(12),gen(6))", "Quot(SL(2,5),center)"):
         Q = build_group(parse_group_spec(text))
-        parent = Q._model.parent
+        parent = Q.parent
         rng = np.random.default_rng(7)
         for _ in range(100):
             density = 0.3 + 0.4 * rng.random()
@@ -367,11 +367,10 @@ def test_criterion_09_cocycle_suite():
     """Carry cocycle builds Z/4 nonsplit; 200 random valid cocycles
     (p in {2,3,5}, |H| <= 24) certify identity/inverse formulas and the
     image bound for n <= 4."""
-    base_spec, p, table = carry_cocycle()
-    spec, E = build_extension(base_spec, p, table)
+    E = build_extension(*carry_cocycle())
     assert abelian_invariants(E) == (4,)
-    assert split_check(E, spec)["splits"] is False
-    assert complement_scan(E, spec)["splits"] is False
+    assert split_check(E)["splits"] is False
+    assert complement_scan(E)["splits"] is False
 
     bases = ["Cyc(2)", "Cyc(3)", "Cyc(4)", "Cyc(6)", "Cyc(8)", "Cyc(12)",
              "Cyc(24)", "Ab(2,2)", "Ab(4,2)", "Ab(2,2,2)", "Ab(3,3)",
@@ -386,9 +385,9 @@ def test_criterion_09_cocycle_suite():
                 assert base.order <= 24
                 table = coboundary_cocycle(base, prime, seed=seed)
                 validate_cocycle(base, table, prime)
-                spec, E = build_extension(base.spec, prime, table)
-                assert identity_inverse_check(E, spec)["checked"] == E.order
-                assert image_bound_check(E, spec, n_max=4)["holds"]
+                E = build_extension(base, prime, table)
+                assert identity_inverse_check(E)["checked"] == E.order
+                assert image_bound_check(E, n_max=4)["holds"]
                 built += 1
     assert built == 200
 

@@ -4,11 +4,11 @@ import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 
 import glab.chevalley as chevalley
 from glab.chevalley import (
-    _ldu,
     _all_diagonals,
     all_roots,
     class_cube,
@@ -32,8 +32,8 @@ from glab.chevalley import (
     w_elem,
     x_elem,
 )
-from glab.errors import CapExceeded, InputError, PropertyFailure
-from glab.groupcore import mat_identity, mat_inverse, mat_mul
+from glab.errors import CapExceeded, InputError, PropertyFailure, confirm
+from glab.groupcore import gauss_jordan, mat_identity, mat_inverse, mat_mul
 from glab.rootsys import _rational_seed, build_root_system
 
 
@@ -299,12 +299,81 @@ def _det(rows: list) -> int:
                for j in range(len(rows)))
 
 
+def _ldu(m, n, p):
+    """Unique L * D * U with L/U unit-triangular and D invertible, or None.
+
+    Elimination without row swaps meets a zero pivot exactly when a
+    leading principal minor of m vanishes; then it returns None.
+    """
+    a = [[m[i * n + j] % p for j in range(n)] for i in range(n)]
+    L = [[int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = a[col][col] % p
+        if piv == 0:
+            return None
+        inv = pow(piv, -1, p)
+        for r in range(col + 1, n):
+            f = (a[r][col] * inv) % p
+            L[r][col] = f
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    D = [a[i][i] % p for i in range(n)]
+    U = [[(a[i][j] * pow(D[i], -1, p)) % p if j >= i else 0 for j in range(n)]
+         for i in range(n)]
+    Lm = tuple(L[i][j] % p for i in range(n) for j in range(n))
+    Dm = tuple(D[i] if i == j else 0 for i in range(n) for j in range(n))
+    Um = tuple(U[i][j] % p for i in range(n) for j in range(n))
+    confirm(mat_mul(mat_mul(Lm, Dm, n, p), Um, n, p) == tuple(v % p for v in m),
+            "L·D·U must multiply back to the matrix")
+    return Lm, Dm, Um
+
+
+def _gauss_jordan_inverse(a, n, p):
+    """Inverse mod p by Gauss-Jordan; raises if a is singular."""
+    m = [[a[i * n + j] for j in range(n)] + [int(i == j) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] % p), None)
+        if piv is None:
+            raise InputError("invalid_parameters", "singular matrix mod p")
+        m[col], m[piv] = m[piv], m[col]
+        inv_p = pow(m[col][col], -1, p)
+        m[col] = [(v * inv_p) % p for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
+    return tuple(m[i][n + j] % p for i in range(n) for j in range(n))
+
+
 def test_ldu_fails_exactly_at_a_vanishing_leading_minor():
-    """All 3x3 matrices mod 3: no LDU exactly when a leading minor is 0 mod 3."""
-    for m in itertools.product(range(3), repeat=9):
-        vanishes = any(_det([list(m[3 * i:3 * i + k]) for i in range(k)]) % 3 == 0
-                       for k in (1, 2, 3))
-        assert (_ldu(m, 3, 3) is None) == vanishes, m
+    """The one elimination against the two it replaced, ``_ldu`` and the
+    old Gauss-Jordan ``mat_inverse``: the same inverse or the same
+    "singular", the same L, D and U, and no factors exactly when a leading
+    minor vanishes, on all 3x3 matrices mod 3 and seeded 4x4 matrices mod
+    5 and mod 7."""
+    rng = np.random.default_rng(27)
+    cases = [(3, 3, itertools.product(range(3), repeat=9))]
+    cases += [(4, p, map(tuple, rng.integers(0, p, size=(1000, 16)).tolist()))
+              for p in (5, 7)]
+    swapped = 0
+    for n, p, matrices in cases:
+        for m in matrices:
+            inverse, factors = gauss_jordan(m, n, p)
+            try:
+                assert inverse == _gauss_jordan_inverse(m, n, p), m
+            except InputError:
+                assert inverse is None, m
+            assert factors == _ldu(m, n, p), m
+            vanishes = any(
+                _det([list(m[n * i:n * i + k]) for i in range(k)]) % p == 0
+                for k in range(1, n + 1))
+            assert (factors is None) == vanishes, m
+            swapped += inverse is not None and factors is None
+    assert swapped > 1000  # invertible matrices that need a row swap
+    with pytest.raises(InputError) as e:
+        mat_inverse((1, 2, 2, 4), 2, 5)
+    assert (e.value.code, e.value.message) == ("invalid_parameters",
+                                               "singular matrix mod p")
 
 
 def test_gauss_rejects_central(sl25):

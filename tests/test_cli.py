@@ -8,6 +8,7 @@ import time
 import pytest
 
 import glab.cli
+import glab.permfact as pf
 from glab.cli import main
 
 
@@ -548,6 +549,19 @@ def test_verify_relations_refuses_too_many_instances(capsys, hang_guard,
     assert code == 3
     assert rep["error"]["code"] == "order_cap_exceeded"
     assert rep["error"]["details"]["cap"] == 100000
+
+
+@pytest.mark.parametrize("argv", [("--n", "40"), ("--n", "40", "--m-max", "0")])
+def test_perm_identities_refuses_too_many_instances(capsys, hang_guard, argv):
+    """Every sweep is bounded before any runs: at n = 40 the quotient
+    sweep at m = 2 has perm(40, 5), about 7.9·10^7 instances, and the full
+    (3, 3) merge sweep perm(40, 8), about 3.6·10^12, which ran for hours."""
+    t0 = time.monotonic()
+    code, rep = run_cli(capsys, "perm", "identities", *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3
+    assert rep["error"]["code"] == "order_cap_exceeded"
+    assert rep["error"]["details"]["cap"] == pf.SWEEP_CAP
 
 
 @pytest.mark.parametrize("rank", ["-1", "0"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from glab import extensions
+from glab import extensions, groupcore
 from glab.errors import CapExceeded, InputError
 from glab.extensions import (
     build_extension,
@@ -39,8 +39,7 @@ from glab.groupcore import (
 
 @pytest.fixture(scope="module")
 def carry_ext():
-    base_spec, p, table = carry_cocycle()
-    return build_extension(base_spec, p, table)
+    return build_extension(*carry_cocycle())
 
 
 # -- cocycle validation
@@ -73,19 +72,51 @@ def test_cocycle_checks_cache_no_base_rows(base_text, monkeypatch):
     base = build_group(parse_group_spec(base_text))
     monkeypatch.setattr(base, "row", None)  # a single-row call would fail
     table = coboundary_cocycle(base, 3, seed=1)
-    spec, E = build_extension(base.spec, 3, table)
+    E = build_extension(base, 3, table)
     validate_cocycle(base, table, 3)
-    build = extensions.build_group
-    monkeypatch.setattr(extensions, "build_group", lambda s, cap=10 ** 5:
-                        base if s == base.spec else build(s, cap=cap))
-    assert split_check(E, spec)["splits"]
+    monkeypatch.setattr(E.parent, "row", None)
+    assert split_check(E)["splits"]
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("an extension check built a group")
+
+
+@pytest.mark.parametrize("cocycle", ["carry", "coboundary"])
+def test_extension_checks_take_the_base_from_the_extension(cocycle, monkeypatch):
+    """E keeps the base group it was built from as E.parent, so the four
+    checks that read the base build no group: on the carry extension of
+    Z/2 and on a coboundary extension of Sym(3)."""
+    if cocycle == "carry":
+        base, p, table = carry_cocycle()
+    else:
+        base, p = build_group(SymSpec(3)), 3
+        table = coboundary_cocycle(base, p, seed=2)
+    E = build_extension(base, p, table)
+    assert E.parent.elements == base.elements and E.parent.spec == base.spec
+    monkeypatch.setattr(extensions, "build_group", _no_build)
+    monkeypatch.setattr(groupcore, "build_group", _no_build)
+    splits = cocycle == "coboundary"
+    assert identity_inverse_check(E)["checked"] == E.order
+    assert split_check(E)["splits"] is splits
+    assert complement_scan(E)["splits"] is splits
+    assert image_bound_check(E, n_max=3)["holds"]
+
+
+def test_extension_checks_refuse_other_groups():
+    G = build_group(SymSpec(3))
+    for check in (identity_inverse_check, split_check, complement_scan,
+                  image_bound_check):
+        with pytest.raises(InputError) as e:
+            check(G)
+        assert e.value.code == "group_mismatch"
 
 
 # -- the carry extension: Z/4 as a nonsplit extension of Z/2 by Z/2
 
 
 def test_carry_extension_is_cyclic_of_order_four(carry_ext):
-    spec, E = carry_ext
+    E = carry_ext
     assert E.order == 4
     assert E.is_abelian()
     assert abelian_invariants(E) == (4,)
@@ -94,21 +125,21 @@ def test_carry_extension_is_cyclic_of_order_four(carry_ext):
 
 
 def test_carry_identity_inverse_certificate(carry_ext):
-    spec, E = carry_ext
-    assert identity_inverse_check(E, spec) == {
+    E = carry_ext
+    assert identity_inverse_check(E) == {
         "order": 4, "identity": "[0|0]", "checked": 4}
 
 
 def test_carry_does_not_split(carry_ext):
-    spec, E = carry_ext
-    assert split_check(E, spec) == {
+    E = carry_ext
+    assert split_check(E) == {
         "splits": False, "complement": None, "assignments_tried": 2}
-    assert complement_scan(E, spec) == {"splits": False, "complement": None}
+    assert complement_scan(E) == {"splits": False, "complement": None}
 
 
 def test_carry_image_bound(carry_ext):
-    spec, E = carry_ext
-    rep = image_bound_check(E, spec, n_max=4)
+    E = carry_ext
+    rep = image_bound_check(E, n_max=4)
     assert rep["holds"] and rep["n_max"] == 4
     assert rep["levels"][1] == {
         "observed": [0, 1], "bound": [0, 1], "contained": True}
@@ -122,8 +153,8 @@ def test_image_bound_levels_past_the_last_growth(base_text, p):
     taken product by product."""
     base = build_group(parse_group_spec(base_text))
     table = carry_cocycle()[2] if base.order == 2 else coboundary_cocycle(base, p)
-    spec, E = build_extension(base.spec, p, table)
-    rep = image_bound_check(E, spec, n_max=7)
+    E = build_extension(base, p, table)
+    rep = image_bound_check(E, n_max=7)
     section = mask_from_indices(
         E, [E.index[(0, base.elements[x])] for x in range(base.order)])
     P = product_mask(E, section, inverse_mask(E, section))
@@ -140,11 +171,11 @@ def test_image_bound_levels_past_the_last_growth(base_text, p):
 
 
 def test_coboundary_split_frozen_example():
-    spec, E = build_extension(AbSpec((2, 2)), 3, coboundary_cocycle(
-        build_group(AbSpec((2, 2))), 3, seed=7))
-    assert split_check(E, spec) == {
+    base = build_group(AbSpec((2, 2)))
+    E = build_extension(base, 3, coboundary_cocycle(base, 3, seed=7))
+    assert split_check(E) == {
         "splits": True, "complement": [0, 6, 7, 8], "assignments_tried": 6}
-    assert complement_scan(E, spec)["splits"] is True
+    assert complement_scan(E)["splits"] is True
 
 
 @pytest.mark.parametrize("base_text", ["Sym(3)", "Cyc(8)", "Ab(2,2,2)"])
@@ -153,9 +184,9 @@ def test_coboundary_split_frozen_example():
 def test_coboundary_battery_splits(base_text, p, seed):
     base = build_group(parse_group_spec(base_text))
     table = coboundary_cocycle(base, p, seed=seed)
-    spec, E = build_extension(base.spec, p, table)
+    E = build_extension(base, p, table)
     assert E.order == p * base.order
-    rep = split_check(E, spec)
+    rep = split_check(E)
     assert rep["splits"]
     comp = mask_from_indices(E, rep["complement"])
     assert is_subgroup_mask(E, comp)
@@ -165,10 +196,9 @@ def test_coboundary_battery_splits(base_text, p, seed):
 def test_coboundary_identity_inverse_and_bound():
     base = build_group(SymSpec(3))
     for seed in range(3):
-        spec, E = build_extension(base.spec, 3,
-                                  coboundary_cocycle(base, 3, seed=seed))
-        assert identity_inverse_check(E, spec)["checked"] == E.order
-        assert image_bound_check(E, spec, n_max=4)["holds"]
+        E = build_extension(base, 3, coboundary_cocycle(base, 3, seed=seed))
+        assert identity_inverse_check(E)["checked"] == E.order
+        assert image_bound_check(E, n_max=4)["holds"]
 
 
 # -- commutator expansion

@@ -471,7 +471,7 @@ def test_quotient_projection_is_homomorphism(cyc12):
     Q = build_group(parse_group_spec("Quot(Cyc(12),gen(6))"))
     assert Q.order == 6
     proj = quotient_projection(Q)
-    parent = Q._model.parent
+    parent = Q.parent
     for a in range(parent.order):
         for b in range(parent.order):
             assert proj[parent.mul(a, b)] == Q.mul(int(proj[a]), int(proj[b]))

@@ -1,6 +1,7 @@
 """Disjoint-cycle surgery identities and two-factor expressions."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import glab.permfact as permfact
 import glab.thickset as thickset
-from glab.errors import InputError, PropertyFailure, confirm
+from glab.errors import CapExceeded, InputError, PropertyFailure, confirm
 from glab.groupcore import (
     build_group,
     element_text,
@@ -377,6 +378,33 @@ def test_chunk_size_changes_nothing(monkeypatch, chunk):
         scan_merge(8, random_samples=0, shapes=[(3, 3)])
     assert e.value.details == {"x": t[0] + 1, "y": t[1] + 1,
                                "a": _one_based(a), "b": _one_based(b)}
+
+
+def test_sweeps_past_the_cap_are_refused_before_any_runs(monkeypatch):
+    """Each scan counts the instances of all its sweeps, perm(n - fixed,
+    length) each, before it runs one, and refuses a count above SWEEP_CAP;
+    a slice fixes x and y, so it counts perm(n - 2, la + lb)."""
+    swept = []
+    monkeypatch.setattr(permfact, "_sweep", lambda n, fixed, length, *rest:
+                        swept.append((n, len(fixed), length)) or 0)
+    for scan in (lambda: scan_cycle_quotient(40, 2),
+                 lambda: scan_merge(40, half_max=1),
+                 lambda: scan_merge(40, shapes=[(1, 1), (1, 3)],
+                                    full_cap_points=6)):
+        with pytest.raises(CapExceeded) as e:
+            scan()
+        assert e.value.code == "order_cap_exceeded"
+        assert e.value.details["cap"] == permfact.SWEEP_CAP
+    assert swept == []
+    scan_merge(40, shapes=[(1, 1), (1, 3)], full_cap_points=4, random_samples=0)
+    assert swept == [(40, 0, 4), (40, 2, 4)]
+    # criterion 8's largest full sweep runs under a cap of its own size
+    monkeypatch.setattr(permfact, "SWEEP_CAP", math.perm(12, 8))
+    scan_merge(12, shapes=[(3, 3)], random_samples=0)
+    monkeypatch.setattr(permfact, "SWEEP_CAP", math.perm(12, 8) - 1)
+    with pytest.raises(CapExceeded):
+        scan_merge(12, shapes=[(3, 3)], random_samples=0)
+    assert swept[2:] == [(12, 0, 8)]
 
 
 @pytest.mark.parametrize("n, m, counts", [

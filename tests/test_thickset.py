@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import glab.thickset as thickset
 from glab.errors import CapExceeded, InputError
+from glab.extensions import build_extension, carry_cocycle
 from glab.groupcore import (
     CycSpec,
     FiniteGroup,
@@ -22,6 +23,7 @@ from glab.groupcore import (
 )
 from glab.thickset import (
     _max_clique,
+    _quotient_clique,
     bounded_simplicity_degree,
     check_intersection_bound,
     covering_number,
@@ -33,7 +35,6 @@ from glab.thickset import (
     normal_core_probe,
     preimage_thickness_check,
     ramsey_bound,
-    spread_length,
     thickness,
 )
 from walk_oracles import power_walk
@@ -187,7 +188,7 @@ def test_clique_witnesses_are_the_lex_least_maximum_cliques(spec, data):
     S = P.copy()
     S[0] = False
     if S.any():
-        assert spread_length(G, S)["witness"] == _lex_least_maximum_clique(G, S)
+        assert _quotient_clique(G, S) == _lex_least_maximum_clique(G, S)
 
 
 @given(st.sampled_from(SMALL_GROUPS), st.booleans(), st.data())
@@ -274,7 +275,7 @@ def test_searches_match_the_unpruned_searches(spec, density, seed, cap):
     P |= inverse_mask(G, P)
     adj = _free_adjacency(G, P)
     assert thickness(G, P)["witness"] == _unpruned_max_clique(adj, G.order)
-    assert spread_length(G, ~P, cap=cap)["witness"] == \
+    assert _quotient_clique(G, ~P, cap=cap)[:cap] == \
         _unpruned_max_clique(adj, G.order, cap)[:cap]
     assert genericity(G, P) == _unpruned_cover(G, P)
 
@@ -522,15 +523,18 @@ def test_cover_of_a_normal_set_without_identity(spec, picked):
        st.integers(1, 12))
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_spread_length_on_normal_sets_keeps_the_capped_clique(spec, data, cap):
+    """The spread length of S, the longest sequence whose quotients
+    g_i^-1 g_j all lie in S, is the capped clique of the quotient graph;
+    for a normal S the search cuts by classes and keeps that clique."""
     G = _group(spec)
     classes = _symmetrized_classes(G)
     picked = data.draw(st.lists(st.sampled_from(range(len(classes))),
                                 min_size=1, max_size=2, unique=True))
     S = functools.reduce(np.logical_or, [classes[i] for i in picked])
-    got = spread_length(G, S, cap=cap)
+    got = _quotient_clique(G, S, cap=cap)
     want = _classless_max_clique(_free_adjacency(G, ~S), cap)
-    assert got["witness"] == want[:cap]
-    assert got["value"] == min(len(want), cap)
+    assert got[:cap] == want[:cap]
+    assert min(len(got), cap) == min(len(want), cap)
 
 
 # -- Ramsey table and its checkers
@@ -909,14 +913,31 @@ def test_gn_product_containment_direction(alt5, sym3, a5xs3):
 def gn_image_check(Q: FiniteGroup, N: int) -> dict:
     """Epimorphic image law: f[gn_set(G, N)] ⊆ gn_set(Q, N), a check of
     :func:`gn_set` on a quotient and its parent."""
-    parent = Q._model.parent
     proj = quotient_projection(Q)
-    src = gn_set(parent, N)
+    src = gn_set(Q.parent, N)
     img = np.zeros(Q.order, dtype=bool)
     img[proj[np.nonzero(src)[0]]] = True
     tgt = gn_set(Q, N)
     return {"holds": bool((img <= tgt).all()),
             "image_size": int(img.sum()), "target_size": int(tgt.sum())}
+
+
+def test_parent_is_the_group_a_quotient_or_an_extension_came_from(sl25, sym4):
+    """Only a quotient projects: an extension keeps its base as its parent
+    too, and a group built from a family keeps none."""
+    psl = build_group(parse_group_spec("Quot(SL(2,5),center)"))
+    assert psl.parent.spec == sl25.spec and psl.parent.elements == sl25.elements
+    base, p, table = carry_cocycle()
+    E = build_extension(base, p, table)
+    assert E.parent.elements == base.elements
+    assert sym4.parent is None
+    for G in (E, sym4):
+        with pytest.raises(InputError) as e:
+            quotient_projection(G)
+        assert e.value.code == "group_mismatch"
+        with pytest.raises(InputError) as e:
+            preimage_thickness_check(G, np.ones(G.order, dtype=bool))
+        assert e.value.code == "group_mismatch"
 
 
 def test_gn_image_check():
@@ -987,24 +1008,12 @@ def test_covering_number_rejects_non_simple(sym3, cyc6):
 
 
 def test_spread_length_frozen(cyc5):
-    assert spread_length(cyc5, mask_from_indices(cyc5, [2, 3])) == {
-        "value": 2, "witness": [0, 2], "status": "exact"}
+    """The longest sequence with quotients in {2, 3} is the clique [0, 2]."""
+    assert _quotient_clique(cyc5, mask_from_indices(cyc5, [2, 3])) == [0, 2]
 
 
 def test_spread_length_of_gn_ball(alt5):
     """bounded_simplicity_degree(Alt(5)) = 3 and gn(Alt(5), 3) is everything
-    but e, so arbitrarily long sequences qualify: the cap (=|G|) is hit."""
-    rep = spread_length(alt5, gn_set(alt5, 3))
-    assert rep["value"] == 60 and rep["status"] == "capped"
-
-
-def test_spread_length_identity_inside(cyc6):
-    rep = spread_length(cyc6, mask_from_indices(cyc6, [0, 3]))
-    assert rep == {"value": 6, "witness": [0] * 6, "status": "capped"}
-
-
-def test_spread_length_empty_and_asymmetric(cyc6):
-    assert spread_length(cyc6, np.zeros(6, dtype=bool)) == {
-        "value": 1, "witness": [0], "status": "exact"}
-    with pytest.raises(InputError):
-        spread_length(cyc6, mask_from_indices(cyc6, [1]))
+    but e, so every sequence of distinct elements qualifies: the clique
+    search capped at |G| takes the whole group."""
+    assert _quotient_clique(alt5, gn_set(alt5, 3), cap=60) == list(range(60))
