@@ -356,9 +356,15 @@ def _all_diagonals(n: int, p: int) -> list[Mat]:
 # transport solvers
 
 
-def _comm(a: Mat, b: Mat, n: int, p: int) -> Mat:
-    return mat_mul(mat_mul(mat_inverse(a, n, p), mat_inverse(b, n, p), n, p),
-                   mat_mul(a, b, n, p), n, p)
+def _comm(a: Mat, b: Mat, n: int, p: int, ai: Mat | None = None,
+          bi: Mat | None = None) -> Mat:
+    """[a, b] = a^-1 b^-1 a b; ``ai`` and ``bi``, when given, are the
+    inverses of a and b, which are then not taken again."""
+    if ai is None:
+        ai = mat_inverse(a, n, p)
+    if bi is None:
+        bi = mat_inverse(b, n, p)
+    return mat_mul(mat_mul(ai, bi, n, p), mat_mul(a, b, n, p), n, p)
 
 
 def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
@@ -375,10 +381,14 @@ def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
         raise InputError("not_unitriangular",
                          "transport target has the wrong shape")
     ti = mat_inverse(t, n, p)
+
+    def commutator(sol: Mat) -> Mat:  # t and t^-1 are inverted once, above
+        return _comm(t, sol, n, p, ai=ti) if sign > 0 else _comm(sol, ti, n, p, bi=t)
+
     sol = mat_identity(n)
     last_height = 0
     for _ in range(n):  # max height is n - 1; one extra pass checks the fixpoint
-        value = _comm(t, sol, n, p) if sign > 0 else _comm(sol, ti, n, p)
+        value = commutator(sol)
         residual = mat_mul(mat_inverse(value, n, p), target, n, p)
         if residual == mat_identity(n):
             break
@@ -394,7 +404,7 @@ def _solve_transport(n: int, p: int, t: Mat, target: Mat, sign: int) -> Mat:
             mult = (1 - pow(av, -1, p)) % p if sign > 0 else (av - 1) % p
             c = (s * pow(mult, -1, p)) % p
             sol = mat_mul(sol, x_elem(n, p, (i, j), c), n, p)
-    final = _comm(t, sol, n, p) if sign > 0 else _comm(sol, ti, n, p)
+    final = commutator(sol)
     confirm(final == target, "transport solve failed to converge")
     return sol
 

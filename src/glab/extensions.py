@@ -22,6 +22,8 @@ from .groupcore import (
     CocycleExtSpec,
     FiniteGroup,
     _close,
+    _cocycle_model,
+    _enumerate,
     _orbit_min,
     _require,
     ball_walk,
@@ -72,13 +74,14 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
 def build_extension(base: FiniteGroup, p: int, table,
                     cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Validate the table and build E = Z/p x_h H, which keeps the built
-    base group H as ``E.parent``.  An order p·|H| above ``cap`` is refused
-    before the table is read."""
+    base group H as ``E.parent``; E is enumerated on that group, which is
+    not built again.  An order p·|H| above ``cap`` is refused before the
+    table is read."""
     check_order((p, base.order), cap)
     h = validate_cocycle(base, table, p)
-    E = build_group(CocycleExtSpec(p=p, base=base.spec,
-                                   values=tuple(int(v) for v in h.reshape(-1))),
-                    cap=cap)
+    spec = CocycleExtSpec(p=p, base=base.spec,
+                          values=tuple(int(v) for v in h.reshape(-1)))
+    E = _enumerate(spec, _cocycle_model(spec, cap, base), cap)
     confirm(E.order == p * base.order, "extension order is not p·|H|",
             order=E.order, expected=p * base.order)
     return E

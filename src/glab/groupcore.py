@@ -372,10 +372,13 @@ def _sl_model(spec: SLSpec, cap: int) -> _Model:
                   lambda a: mat_inverse(a, n, p), times=times)
 
 
-def _cocycle_model(spec: CocycleExtSpec, cap: int) -> _Model:
+def _cocycle_model(spec: CocycleExtSpec, cap: int,
+                   base: FiniteGroup | None = None) -> _Model:
+    """The model of Z/p x_h H, on ``base`` when the built H is given."""
     p = spec.p
     _require(p >= 2, "extension modulus must be >= 2", p=p)
-    base = build_group(spec.base, cap=cap)
+    if base is None:
+        base = build_group(spec.base, cap=cap)
     m = base.order
     check_order((p, m), cap)
     _require(len(spec.values) == m * m,
@@ -773,7 +776,11 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     order exceeds ``cap``, before any element is enumerated, and once more
     than ``cap`` elements have been discovered.
     """
-    model = _model_for(spec, cap)
+    return _enumerate(spec, _model_for(spec, cap), cap)
+
+
+def _enumerate(spec: GroupSpec, model: _Model, cap: int) -> FiniteGroup:
+    """The group of ``model``, enumerated as :func:`build_group` says."""
     elements = [model.identity]
     index = {model.identity: 0}
     # right[x * len(gens) + k] = index of x·g_k, in scan order; a product

@@ -23,22 +23,27 @@ Right translation maps covers to covers of the same size, so the cover
 search tries a single translator at its root.  For a normal set,
 conjugation fixes e and maps the graph and the covers through e to
 themselves, so each search tries one vertex or translator per conjugacy
-class on its first level below e (orbit pruning at one level, after
-McKay and Piperno, 2014); it only skips branches whose image under a
-conjugation was searched before, so no witness changes.  The cover
-search takes its last translate from one AND of bitmasks.
+class on its first level below e.  One level deeper, below e and a
+chosen v (a vertex, or a translator), conjugation by the powers of v
+fixes both, so the search tries one vertex or translator per orbit of
+that conjugation (orbit pruning at two levels, by the stabiliser of the
+chosen points, after McKay, 1998, and McKay and Piperno, 2014).  Each cut
+only skips branches whose image under a conjugation was searched before,
+so no witness changes.  The cover search takes its last translate from
+one AND of bitmasks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import CapExceeded, InputError, confirm
 from .groupcore import (
     FiniteGroup,
+    _orbit_min,
     ball_mask,
     is_subgroup_mask,
     is_normal_mask,
@@ -47,22 +52,65 @@ from .groupcore import (
 )
 
 EXACT_CLIQUE_CAP = 5000
+PACK_BATCH = 1 << 18  # bool entries packed into bitmasks at once
 
 
 # --------------------------------------------------------------------------
 # clique kernel
 
 
-def _pack_bits(arr: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+def _pack_bits(hit: np.ndarray) -> list[int]:
+    """Each line of a 2-D bool array as an int: bit i is set iff hit[., i]."""
+    width = -(-hit.shape[1] // 8)
+    packed = np.packbits(hit, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, len(packed), width)]
 
 
-def _colour_bound(adj: list[int], cand: int, room: int) -> int:
+def _column_masks(columns: np.ndarray, n: int) -> list[int]:
+    """masks[j] = the bitmask of the indices columns[:, j], below n.
+
+    Packed a batch of columns at a time, so the bool temporary holds at
+    most ``PACK_BATCH`` entries, not one line per column at once.
+    """
+    masks: list[int] = []
+    step = max(1, PACK_BATCH // n)
+    for lo in range(0, columns.shape[1], step):
+        block = columns[:, lo:lo + step]
+        hit = np.zeros((block.shape[1], n), dtype=bool)
+        hit.ravel()[block + np.arange(0, hit.size, n)] = True
+        masks += _pack_bits(hit)
+    return masks
+
+
+def _conjugation_labels(G: FiniteGroup, g: int) -> np.ndarray:
+    """label[x] = least element of x's orbit under conjugation by powers of g.
+
+    The conjugation is read off the Cayley row of g^-1 and the inverse
+    table: with left[y] = g^-1 y, left[x^-1] is the inverse of x g, and
+    left[x g] = g^-1 x g.
+    """
+    inv = G.inverses()
+    left = G.row(int(inv[g]))
+    return _orbit_min(left[inv[left[inv]]][None])
+
+
+def _orbit_masks(label: list[int]) -> list[int]:
+    """masks[x] = bitmask of the elements with the same label as x."""
+    members: dict[int, int] = {}
+    for x, lab in enumerate(label):
+        members[lab] = members.get(lab, 0) | 1 << x
+    return [members[lab] for lab in label]
+
+
+def _colour_bound(apart: list[int], cand: int, room: int) -> int:
     """Greedy colour classes of ``cand`` in index order, counted to room + 1.
 
-    Each class is an independent set, so no clique inside ``cand`` is larger
-    than the number of classes (Tomita and Seki's MCQ bound).  Colouring
-    stops once the count exceeds ``room``, where it can no longer cut.
+    ``apart[v]`` is every vertex other than v that is not a neighbour of v,
+    so each class is an independent set and no clique inside ``cand`` is
+    larger than the number of classes (Tomita and Seki's MCQ bound).
+    Colouring stops once the count exceeds ``room``, where it can no longer
+    cut.
     """
     colours = 0
     while cand and colours <= room:
@@ -71,12 +119,13 @@ def _colour_bound(adj: list[int], cand: int, room: int) -> int:
         while free:
             low = free & -free
             cand ^= low
-            free &= ~(adj[low.bit_length() - 1] | low)
+            free &= apart[low.bit_length() - 1]
     return colours
 
 
 def _max_clique(adj: list[int], cap: int | None = None,
-                orbit: list[int] | None = None) -> list[int]:
+                orbit: list[int] | None = None,
+                pair_orbit: Callable[[int], list[int]] | None = None) -> list[int]:
     """Maximum clique of a Cayley graph, lex-least among the maximum ones.
 
     Binary branching on the lowest candidate vertex, include-branch first;
@@ -95,35 +144,55 @@ def _max_clique(adj: list[int], cap: int | None = None,
     descended in place and only the exclude-branch is stacked, as the
     clique length it resumes from and its candidates, so the depth is not
     bounded by the recursion limit; an exclude-branch that the incumbent
-    already cuts is not stacked at all.
+    already cuts is not stacked at all.  The colouring's masks
+    ``apart[v]`` are built once per search.
 
     ``orbit[v]``, when given, is the bitmask of v's orbit under a group of
     automorphisms fixing 0 (for a normal connection set: conjugation, and
-    v's conjugacy class).  Then the exclude-branch after v at the clique
-    [0] drops v's whole orbit: a clique through 0 and an image w of v that
-    avoids the orbits dropped before is the image of one of the same size
-    through 0 and v that avoids them too, which v's include-branch has
-    searched.  So the dropped cliques cannot strictly beat the incumbent,
-    the cliques recorded are those recorded without the cut, and the
+    v's conjugacy class), and ``pair_orbit(v)[w]`` that of w's orbit under
+    automorphisms fixing 0 and v (for a normal set: conjugation by the
+    powers of v).  Then the exclude-branch after v at the clique [0] drops
+    v's whole orbit, and the exclude-branch after w at the clique [0, v]
+    drops w's whole ``pair_orbit(v)`` orbit.  The candidates at either
+    clique are invariant under the automorphisms that fix it: they are the
+    common neighbours of the clique less the orbits dropped before.  So a
+    clique through the chosen vertices and an image of w that avoids the
+    orbits dropped before is the image of one of the same size through the
+    chosen vertices and w that avoids them too, which w's include-branch
+    has searched.  The dropped cliques cannot strictly beat the incumbent,
+    the cliques recorded are those recorded without the cuts, and the
     lex-least maximum, the ``cap`` stops and the first clique are kept.
-    Deeper down the automorphisms no longer fix the clique, and the cut
-    is not made.
+    ``pair_orbit`` is asked at most once per clique [0, v], and only when
+    an exclude-branch there is stacked; it is used only with ``orbit``,
+    whose cut makes the candidates at [0, v] invariant.  Deeper down the automorphisms no
+    longer fix the clique, and the cut is not made.
     """
+    full = (1 << len(adj)) - 1
+    apart = [full & ~(a | 1 << v) for v, a in enumerate(adj)]
     best: list[int] = []
     cur = [0]
     stack: list[tuple[int, int]] = []
     cand = adj[0]
+    pair, pair_of = None, None  # pair_orbit(pair_of), for the clique [0, pair_of]
     while cap is None or len(best) < cap:
         k = len(cur)
         room = len(best) - k  # a better clique takes more than room from cand
         size = cand.bit_count()
-        if size > room and _colour_bound(adj, cand, room) > room:
+        if size > room and _colour_bound(apart, cand, room) > room:
             if cand:
                 low = cand & -cand
                 v = low.bit_length() - 1
-                rest = cand & ~orbit[v] if orbit and k == 1 else cand ^ low
-                if rest.bit_count() > room:
-                    stack.append((k, rest))
+                if size - 1 > room:
+                    if orbit and k == 1:
+                        rest = cand & ~orbit[v]
+                    elif orbit and pair_orbit and k == 2:
+                        if pair_of != cur[1]:
+                            pair, pair_of = pair_orbit(cur[1]), cur[1]
+                        rest = cand & ~pair[v]
+                    else:
+                        rest = cand ^ low
+                    if rest.bit_count() > room:
+                        stack.append((k, rest))
                 cur.append(v)
                 cand &= adj[v]
                 continue
@@ -142,22 +211,19 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> l
     inverses, walked by ``G.row_batches``, searches it up to ``cap`` and
     replays the defining property on the returned witness.  When M is
     normal, conjugation fixes e and preserves the graph, so the search
-    gets the conjugacy classes as its orbits.
+    gets the conjugacy classes as its orbits at [e], and conjugation by
+    the powers of v, which also fixes v, as its orbits at [e, v].
     """
     adj = []
     for lo, rows in G.row_batches(G.inverses()):
         inside = M[rows]  # inside[i, b] = (a^-1 b in M) for a = lo + i
         inside[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = False
-        packed = np.packbits(inside, axis=1, bitorder="little")
-        adj += [int.from_bytes(line.tobytes(), "little") for line in packed]
-    orbit = None
+        adj += _pack_bits(inside)
+    orbit = pair_orbit = None
     if is_normal_mask(G, M):
-        cid, reps = G.conjugacy_classes()
-        classes = [0] * len(reps)
-        for v, c in enumerate(cid.tolist()):
-            classes[c] |= 1 << v
-        orbit = [classes[c] for c in cid.tolist()]
-    witness = sorted(_max_clique(adj, cap, orbit))
+        orbit = _orbit_masks(G.conjugacy_classes()[0].tolist())
+        pair_orbit = lambda v: _orbit_masks(_conjugation_labels(G, v).tolist())
+    witness = sorted(_max_clique(adj, cap, orbit, pair_orbit))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
             confirm(M[G.mul(G.inv(a), b)],
@@ -251,10 +317,17 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
       to covers of the same size through e and g^h.  Depth 1 therefore
       tries only the first candidate of each conjugacy class: a later
       conjugate is reached only after an earlier one failed, and fails too.
+      Under the translators [e, g1] conjugation by the powers of g1 fixes
+      both and keeps the uncovered set, so depth 2 tries only the first
+      candidate of each orbit of that conjugation, by the same argument;
+      its labels are taken once per g1.
     * The last translate must cover everything left, so below the root at
       depth limit - 1 the translators covering each uncovered element are
       ANDed as bitmasks; the lowest bit left is the first candidate the
       loop over them would accept, and none is tried when the AND is 0.
+
+    The bitmasks of every translate and of the translators covering each
+    element are packed once, before the search.
     """
     p = np.flatnonzero(P)
     if not len(p):
@@ -267,32 +340,32 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     right = G.rows(p)
     covering = G.rows(G.inverses()[p])
     covering.sort(axis=0)
+    translate = _column_masks(right, n)  # translate[g] = P*g
+    covered_by = _column_masks(covering, n)  # covered_by[x] = {g : x in P*g}
     full = (1 << n) - 1
-    cid = G.conjugacy_classes()[0] if P[0] and is_normal_mask(G, P) else None
+    normal = bool(P[0]) and is_normal_mask(G, P)
+    cid = G.conjugacy_classes()[0].tolist() if normal else None
+    labels: dict[int, list[int]] = {}  # g1 -> orbits of conjugation by <g1>
+    columns: dict[int, list[int]] = {}
 
-    def bits(indices: np.ndarray) -> int:
-        hit = np.zeros(n, dtype=bool)
-        hit[indices] = True
-        return _pack_bits(hit)
-
-    @functools.cache
-    def translate(g: int) -> int:
-        """The translate P*g as a bitmask."""
-        return bits(right[:, g])
-
-    @functools.cache
-    def covered_by(x: int) -> int:
-        """The translators g with x in P*g as a bitmask."""
-        return bits(covering[:, x])
-
-    def candidates(x: int, depth: int) -> list[int]:
-        gs = covering[:, x]
+    def candidates(x: int, chosen: list[int]) -> list[int]:
+        gs = columns.get(x)
+        if gs is None:
+            gs = columns[x] = covering[:, x].tolist()
+        depth = len(chosen)
         if depth == 0:
-            return gs[:1].tolist()
-        if depth == 1 and cid is not None:
-            _, first = np.unique(cid[gs], return_index=True)
-            return gs[np.sort(first)].tolist()
-        return gs.tolist()
+            return gs[:1]
+        if cid is None or depth > 2:
+            return gs
+        if depth == 1:
+            label = cid
+        else:
+            label = labels.get(chosen[1])
+            if label is None:
+                label = labels[chosen[1]] = \
+                    _conjugation_labels(G, chosen[1]).tolist()
+        seen: set[int] = set()
+        return [g for g in gs if label[g] not in seen and not seen.add(label[g])]
 
     def last_translate(uncovered: int) -> int | None:
         """The lowest g with P*g covering ``uncovered``, if any."""
@@ -300,7 +373,7 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
         while uncovered and common:
             low = uncovered & -uncovered
             uncovered ^= low
-            common &= covered_by(low.bit_length() - 1)
+            common &= covered_by[low.bit_length() - 1]
         return (common & -common).bit_length() - 1 if common else None
 
     def cover(limit: int) -> list[int] | None:
@@ -322,7 +395,7 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
                         return chosen + [g]
                 else:
                     x = (uncovered & -uncovered).bit_length() - 1
-                    stack.append((uncovered, iter(candidates(x, depth))))
+                    stack.append((uncovered, iter(candidates(x, chosen))))
             while stack:
                 parent, rest = stack[-1]
                 g = next(rest, None)
@@ -333,7 +406,7 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
                 return None
             del chosen[len(stack) - 1:]
             chosen.append(g)
-            uncovered = parent & ~translate(g)
+            uncovered = parent & ~translate[g]
         return chosen
 
     lower = -(-n // len(p))

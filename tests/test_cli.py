@@ -9,6 +9,7 @@ import pytest
 
 import glab.cli
 import glab.permfact as pf
+from glab import extensions, groupcore
 from glab.cli import main
 
 
@@ -285,6 +286,24 @@ def test_ext_split_coboundary(capsys):
     assert rep["results"]["splits"] is True
     assert len(rep["results"]["complement"]) == 6
     assert rep["results"]["complement"][0] == "[1|e]"
+
+
+def test_ext_split_builds_its_base_once(capsys, monkeypatch):
+    """The extension is enumerated on the base group the job built, so one
+    ``ext split --cocycle coboundary`` job builds Sym(3) once."""
+    real = groupcore.build_group
+    built = []
+
+    def counted(spec, *args, **kwargs):
+        built.append(spec)
+        return real(spec, *args, **kwargs)
+
+    for module in (glab.cli, extensions, groupcore):
+        monkeypatch.setattr(module, "build_group", counted)
+    code, rep = run_cli(capsys, "ext", "split", "--base", "Sym(3)", "--p", "3",
+                        "--cocycle", "coboundary", "--seed", "5")
+    assert code == 0 and rep["results"]["splits"] is True
+    assert built == [groupcore.SymSpec(3)]
 
 
 def test_ext_split_carry_does_not(capsys):

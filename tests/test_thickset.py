@@ -395,6 +395,21 @@ def test_thickness_caches_no_rows(monkeypatch):
 # -- the class cuts against copies of the searches without them
 
 
+def _colour_count(adj, cand, room):
+    """The greedy colouring bound as the searches took it before any cut by
+    classes: colour classes of ``cand`` in index order, counted to room + 1,
+    each grown from the non-neighbours of its vertices."""
+    colours = 0
+    while cand and colours <= room:
+        colours += 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+    return colours
+
+
 def _classless_max_clique(adj, cap=None):
     """The clique search before it cut by conjugacy classes: from vertex 0,
     with the candidate count and the colouring bound."""
@@ -404,7 +419,7 @@ def _classless_max_clique(adj, cap=None):
         k = len(cur)
         room = len(best) - k
         size = cand.bit_count()
-        if size > room and thickset._colour_bound(adj, cand, room) > room:
+        if size > room and _colour_count(adj, cand, room) > room:
             if cand:
                 low = cand & -cand
                 if size - 1 > room:
@@ -474,20 +489,31 @@ def _symmetrized_classes(G):
 
 # sets e + classes, by indices into _symmetrized_classes, on which a copy
 # without the class cuts takes more than half a second (most of them
-# seconds, and four of the covers more than 30 s)
+# seconds, and four of the Sym(5) covers more than 30 s)
 CLASSLESS_TOO_SLOW = {
-    "clique": {("Sym(5)", (4,)), ("Sym(5)", (0, 4))},
+    "clique": {("Sym(5)", (4,)), ("Sym(5)", (0, 4))}
+    | {("SL(2,5)", combo) for combo in [
+        (0,), (1,), (2,), (3,), (6,), (0, 6), (0, 7), (1, 7), (2, 7), (3, 7),
+        (6, 7)]}
+    | {("Quot(SL(2,7),center)", (3,))},
     "cover": {("Sym(5)", combo) for combo in [
         (0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (0, 2), (0, 3), (1, 3),
-        (1, 4), (1, 5), (3, 4), (4, 5)]},
+        (1, 4), (1, 5), (3, 4), (4, 5)]}
+    | {("SL(2,5)", combo) for combo in [
+        (0,), (1,), (3,), (4,), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
+        (0, 7), (1, 2), (1, 3), (1, 4), (1, 6), (1, 7), (2, 3), (3, 7),
+        (4, 7)]}
+    | {("Quot(SL(2,7),center)", combo) for combo in [(0,), (2,), (3,)]},
 }
 
 
-@pytest.mark.parametrize("spec", SMALL_GROUPS + ("Alt(5)", "Sym(5)"))
+@pytest.mark.parametrize("spec", SMALL_GROUPS + ("Alt(5)", "Sym(5)", "SL(2,5)",
+                                                 "Quot(SL(2,7),center)"))
 def test_class_cuts_keep_witnesses_and_translators(hang_guard, spec):
     """Every set e + one or two symmetrized classes: the same witness as
     the clique search and the same translators as the cover search that
-    do not cut by classes."""
+    cut neither by classes nor, one level deeper, by the orbits of
+    conjugation by the powers of the element chosen at the first level."""
     G = _group(spec)
     classes = _symmetrized_classes(G)
     for k in (1, 2):
@@ -499,6 +525,28 @@ def test_class_cuts_keep_witnesses_and_translators(hang_guard, spec):
                     _classless_max_clique(_free_adjacency(G, P))
             if (spec, combo) not in CLASSLESS_TOO_SLOW["cover"]:
                 assert genericity(G, P) == _classless_cover(G, P)
+
+
+def test_pair_cuts_rest_on_the_stabiliser_of_the_pair(monkeypatch):
+    """The second-level cuts take their orbits from conjugation by the
+    powers of the chosen v, which fixes e and v.  Orbits of conjugation by
+    an element that does not commute with v (which moves v) lose a
+    maximum clique and a first cover, so the comparisons above would see
+    a cut by the wrong orbits."""
+    real = thickset._conjugation_labels
+
+    def moved(G, v):
+        u = next((u for u in range(G.order) if G.mul(u, v) != G.mul(v, u)), v)
+        return real(G, u)
+
+    monkeypatch.setattr(thickset, "_conjugation_labels", moved)
+    G = _group("Quot(SL(2,7),center)")
+    P = G.class_mask(0) | _symmetrized_classes(G)[0]
+    assert thickness(G, P)["witness"] != \
+        _classless_max_clique(_free_adjacency(G, P))
+    G = _group("SL(2,5)")
+    P = G.class_mask(0) | _symmetrized_classes(G)[6]
+    assert genericity(G, P) != _classless_cover(G, P)
 
 
 @given(st.sampled_from(SMALL_GROUPS + ("Alt(5)",)),
