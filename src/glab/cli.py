@@ -170,10 +170,10 @@ def _replay_cover(G: FiniteGroup, P: np.ndarray,
                   translators: list[int]) -> bool:
     covered = np.zeros(G.order, dtype=bool)
     members = [G.elements[int(i)] for i in np.nonzero(P)[0]]
-    for t in translators:
+    for t in translators:  # the right translates P·t
         tf = G.elements[t]
         for m in members:
-            covered[G.index[G.mul_form(tf, m)]] = True
+            covered[G.index[G.mul_form(m, tf)]] = True
     return bool(covered.all())
 
 

@@ -2,11 +2,12 @@
 
 A cocycle table h on a finite group H (values in Z/p) determines the
 extension E = Z/p x_h H with multiplication
-(a, x)(b, y) = (a + b + h(x, y), xy).  The group engine builds E from a
-``CocycleExtSpec`` and keeps H as ``E.parent``, so each check takes E
-alone.  This module supplies the validation, the splitting search, the
-sumset bound on powers of the section image, the Iwasawa-style covering
-certificate, and the four-factor commutator expansion check.
+(a, x)(b, y) = (a + b + h(x, y), xy).  :func:`build_extension`, the one
+way to build E, checks the table and enumerates E on the built H, which E
+keeps as ``E.parent``, so each check takes E alone.  This module supplies
+the validation, the splitting search, the sumset bound on powers of the
+section image, the Iwasawa-style covering certificate, and the
+four-factor commutator expansion check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import CapExceeded, InputError, confirm
 from .groupcore import (
     DEFAULT_ORDER_CAP,
+    ROW_BATCH,
     CocycleExtSpec,
     FiniteGroup,
     _close,
@@ -45,7 +47,9 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
     The table is |H| lists of |H| integers (JSON integers, so booleans do
     not count), or an integer array of that shape, indexed by the element
     indices of the base group.  h(x,y) + h(xy,z) = h(y,z) + h(x,yz) for
-    all x, y, z in the base group.
+    all x, y, z, checked on blocks of pairs (x, y) with all z, at most
+    ``ROW_BATCH`` triples a block, so no |H|^3 array is built; a failure
+    names the first triple in (x, y, z) order.
     """
     if p < 2:
         raise InputError("invalid_parameters", "modulus must be >= 2", p=p)
@@ -58,16 +62,18 @@ def validate_cocycle(base: FiniteGroup, table, p: int) -> np.ndarray:
                          "table must be |H| lists of |H| integers",
                          expected=[m, m])
     h = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    M = base.rows(np.arange(m))
-    lhs = h[:, :, None] + h[M]
-    rhs = h[None, :, :] + h[:, M.reshape(-1)].reshape(m, m, m)
-    bad = np.nonzero((lhs - rhs) % p)
-    if len(bad[0]):
-        x, y, z = (int(bad[0][0]), int(bad[1][0]), int(bad[2][0]))
-        raise InputError("invalid_cocycle",
-                         "cocycle identity fails",
-                         triple=[x, y, z],
-                         lhs=int(lhs[x, y, z] % p), rhs=int(rhs[x, y, z] % p))
+    M = base.rows(np.arange(m))  # M[x, y] = xy
+    step = max(1, ROW_BATCH // m)
+    for lo in range(0, m * m, step):
+        x, y = np.divmod(np.arange(lo, min(lo + step, m * m)), m)
+        lhs = (h[x, y][:, None] + h[M[x, y]]) % p  # h(x,y) + h(xy,z)
+        rhs = (h[y] + h[x[:, None], M[y]]) % p  # h(y,z) + h(x,yz)
+        bad = np.flatnonzero(lhs != rhs)
+        if len(bad):
+            i, z = divmod(int(bad[0]), m)
+            raise InputError("invalid_cocycle", "cocycle identity fails",
+                             triple=[int(x[i]), int(y[i]), z],
+                             lhs=int(lhs[i, z]), rhs=int(rhs[i, z]))
     return h
 
 
@@ -81,7 +87,7 @@ def build_extension(base: FiniteGroup, p: int, table,
     h = validate_cocycle(base, table, p)
     spec = CocycleExtSpec(p=p, base=base.spec,
                           values=tuple(int(v) for v in h.reshape(-1)))
-    E = _enumerate(spec, _cocycle_model(spec, cap, base), cap)
+    E = _enumerate(spec, _cocycle_model(spec, base), cap)
     confirm(E.order == p * base.order, "extension order is not p·|H|",
             order=E.order, expected=p * base.order)
     return E

@@ -21,9 +21,10 @@ walk that tree (a·b = (a·parent)·g_k, one numpy gather per layer), and
 the same walk over the rows of the g_k^-1 gives the inverse array
 (b^-1 = g_k^-1·parent^-1).  No row is kept: a caller that needs many
 walks them through :meth:`FiniteGroup.row_batches`, ``ROW_BATCH``
-entries at a time.  Conjugation by a generator is the table
-inv[R_k[inv[R_k]]], and classes and centres are array operations on
-those tables.  None of this depends on the group family.
+entries at a time.  Conjugation by s is one formula on the right map
+R[x] = x·s, R[inv[R[inv]]] (:func:`_conjugation`); classes and
+centres are array operations on its tables for the generators.  None of
+this depends on the group family.
 ``mul``/``mul_form``/``inv_form`` stay form-level, as the independent
 path that witness replays use.
 
@@ -372,18 +373,10 @@ def _sl_model(spec: SLSpec, cap: int) -> _Model:
                   lambda a: mat_inverse(a, n, p), times=times)
 
 
-def _cocycle_model(spec: CocycleExtSpec, cap: int,
-                   base: FiniteGroup | None = None) -> _Model:
-    """The model of Z/p x_h H, on ``base`` when the built H is given."""
-    p = spec.p
-    _require(p >= 2, "extension modulus must be >= 2", p=p)
-    if base is None:
-        base = build_group(spec.base, cap=cap)
-    m = base.order
-    check_order((p, m), cap)
-    _require(len(spec.values) == m * m,
-             "cocycle table must have |H|^2 entries",
-             expected=m * m, got=len(spec.values))
+def _cocycle_model(spec: CocycleExtSpec, base: FiniteGroup) -> _Model:
+    """The model of Z/p x_h H on the built H, for a table that
+    ``extensions.build_extension`` has checked."""
+    p, m = spec.p, base.order
     h = [v % p for v in spec.values]
     h11 = h[0]  # h(e, e): identity has index 0
 
@@ -460,8 +453,6 @@ def _model_for(spec: GroupSpec, cap: int) -> _Model:
             return _alt_model(spec, cap)
         case SLSpec():
             return _sl_model(spec, cap)
-        case CocycleExtSpec():
-            return _cocycle_model(spec, cap)
         case QuotientSpec():
             return _quotient_model(spec, cap)
         case ProductSpec():
@@ -658,7 +649,8 @@ class FiniteGroup:
         """conj[k, x] = g_k^-1 x g_k for the k-th generator form, from the tables."""
         if self._conj is None:
             inv, right = self.inverses(), self._tree.right
-            self._conj = inv[np.take_along_axis(right, inv[right], axis=1)]
+            self._conj = np.array([_conjugation(inv, r) for r in right],
+                                  dtype=np.int64).reshape(right.shape)
         return self._conj
 
     # -- structure
@@ -997,16 +989,23 @@ def is_subgroup_mask(G: FiniteGroup, mask: np.ndarray) -> bool:
     return bool(mask[0] and (product_mask(G, mask, mask) <= mask).all())
 
 
+def _conjugation(inv: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x ↦ s^-1·x·s as an index map, from the right map right[x] = x·s and
+    the inverses: s^-1·x·s = (x^-1·s)^-1·s."""
+    return right[inv[right[inv]]]
+
+
 def derived_subgroup(G: FiniteGroup, H: np.ndarray) -> np.ndarray:
     """[H, H] for a subgroup mask H: the normal closure in H of the
     commutators of the generators s_k that ``G._generate`` keeps for H.
 
-    With maps[k] = x ↦ x·s_k, conjugation x ↦ s^-1·x·s = (x^-1·s)^-1·s and
+    With maps[k] = x ↦ x·s_k, conjugation (:func:`_conjugation`) and
     [a, b] = (a^-1·b^-1·a)·b are gathers on those maps.
     """
     inv = G.inverses()
     _, maps = G._generate(np.flatnonzero(H))
-    conj = np.take_along_axis(maps, inv[maps[:, inv]], axis=1)
+    conj = np.array([_conjugation(inv, m) for m in maps],
+                    dtype=np.int64).reshape(maps.shape)
     seeds = np.zeros(G.order, dtype=bool)
     seeds[maps[np.arange(len(maps)), conj[:, inv[maps[:, 0]]]]] = True
     return G.subgroup_closure(np.flatnonzero(_close(seeds, conj)))

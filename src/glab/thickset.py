@@ -16,21 +16,17 @@ stops it for ``permfact.express_even``'s support budget and, above
 ``EXACT_CLIQUE_CAP`` elements, for the thickness.
 
 Both searches use the group's symmetry, which leaves every witness as it
-would be without it.  The P-free graph is a Cayley graph, on which left
-translation acts transitively, so the clique search starts from vertex 0;
-it also cuts with a greedy-colouring bound (Tomita and Seki, MCQ, 2003).
-Right translation maps covers to covers of the same size, so the cover
-search tries a single translator at its root.  For a normal set,
-conjugation fixes e and maps the graph and the covers through e to
-themselves, so each search tries one vertex or translator per conjugacy
-class on its first level below e.  One level deeper, below e and a
-chosen v (a vertex, or a translator), conjugation by the powers of v
-fixes both, so the search tries one vertex or translator per orbit of
-that conjugation (orbit pruning at two levels, by the stabiliser of the
-chosen points, after McKay, 1998, and McKay and Piperno, 2014).  Each cut
-only skips branches whose image under a conjugation was searched before,
-so no witness changes.  The cover search takes its last translate from
-one AND of bitmasks.
+would be without it.  One oracle, :class:`_Orbits`, names the orbits of
+the automorphisms that fix the points a branch has chosen: with nothing
+chosen one orbit, all of G, by translation; for a normal set, the
+conjugacy classes below [e], and below [e, v] the orbits of conjugation
+by the powers of v; nothing deeper, and nothing below the root for a set
+that is not normal.  Wherever it answers, both searches branch on the
+first candidate of each orbit only (orbit pruning by the stabiliser of
+the chosen points, after McKay, 1998, and McKay and Piperno, 2014): a
+skipped branch is the image of one searched before.  The clique search
+also cuts with a greedy-colouring bound (Tomita and Seki, MCQ, 2003),
+and the cover search takes its last translate from one AND of bitmasks.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ import numpy as np
 from .errors import CapExceeded, InputError, confirm
 from .groupcore import (
     FiniteGroup,
+    _conjugation,
     _orbit_min,
     ball_mask,
     is_subgroup_mask,
@@ -83,24 +80,44 @@ def _column_masks(columns: np.ndarray, n: int) -> list[int]:
     return masks
 
 
-def _conjugation_labels(G: FiniteGroup, g: int) -> np.ndarray:
-    """label[x] = least element of x's orbit under conjugation by powers of g.
-
-    The conjugation is read off the Cayley row of g^-1 and the inverse
-    table: with left[y] = g^-1 y, left[x^-1] is the inverse of x g, and
-    left[x g] = g^-1 x g.
-    """
-    inv = G.inverses()
-    left = G.row(int(inv[g]))
-    return _orbit_min(left[inv[left[inv]]][None])
-
-
 def _orbit_masks(label: list[int]) -> list[int]:
     """masks[x] = bitmask of the elements with the same label as x."""
-    members: dict[int, int] = {}
+    members = dict.fromkeys(label, 0)
+    if len(members) == 1:  # one orbit: every mask is all of G
+        return [(1 << len(label)) - 1] * len(label)
     for x, lab in enumerate(label):
-        members[lab] = members.get(lab, 0) | 1 << x
+        members[lab] |= 1 << x
     return [members[lab] for lab in label]
+
+
+class _Orbits:
+    """The orbit oracle of the clique and cover searches on G.
+
+    Called with the points chosen so far (Cayley-graph vertices, or
+    translators g of right translates P·g), it names the orbits of the
+    automorphisms that fix them: all of G for none (translation); for a
+    ``normal`` set, the classes for [e] and the orbits of conjugation by
+    the powers of v for [e, v]; else None.  ``depth`` bounds the number of
+    points it answers for.  ``form`` turns the orbit labels (equal labels,
+    one orbit) into what the search reads.  A set is built on each call;
+    each search asks once per set of chosen points, when it first needs it.
+    """
+
+    def __init__(self, G: FiniteGroup, normal: bool, form: Callable):
+        self.G, self.depth, self.form = G, 3 if normal else 1, form
+
+    def __call__(self, chosen: list[int]):
+        G = self.G
+        if not chosen:
+            label = [0] * G.order
+        elif len(chosen) >= self.depth or chosen[0] != 0:
+            return None
+        elif len(chosen) == 1:
+            label = G.conjugacy_classes()[0].tolist()
+        else:
+            conj = _conjugation(G.inverses(), G.right_map(chosen[1]))
+            label = _orbit_min(conj[None]).tolist()
+        return self.form(label)
 
 
 def _colour_bound(apart: list[int], cand: int, room: int) -> int:
@@ -124,82 +141,70 @@ def _colour_bound(apart: list[int], cand: int, room: int) -> int:
 
 
 def _max_clique(adj: list[int], cap: int | None = None,
-                orbit: list[int] | None = None,
-                pair_orbit: Callable[[int], list[int]] | None = None) -> list[int]:
-    """Maximum clique of a Cayley graph, lex-least among the maximum ones.
+                orbits: _Orbits | None = None) -> list[int]:
+    """Maximum clique of a graph, lex-least among the maximum ones.
 
-    Binary branching on the lowest candidate vertex, include-branch first;
-    a branch is cut only when it cannot *strictly* beat the incumbent, so
-    the first maximum recorded is the lex-least.  Two bounds cut: the
-    number of candidates and, when that does not cut, the number of greedy
-    colour classes of the candidates.  The search starts from the clique
-    [0]: left translation is an automorphism of a Cayley graph, so some
-    maximum clique contains 0, and a sorted clique starting with 0 is
-    lex-less than any clique without it.  ``cap`` stops the search as soon
-    as a clique of that size is known; one of that size exists iff one
-    containing 0 does, so the cap is reached at the same clique as by a
-    search over all vertices.  A lower bound is the search's first clique,
-    ``cap=1``: no bound cuts before a clique is recorded, so it is the
-    greedy one, the lowest candidate from 0 on.  The include-branch is
-    descended in place and only the exclude-branch is stacked, as the
-    clique length it resumes from and its candidates, so the depth is not
-    bounded by the recursion limit; an exclude-branch that the incumbent
-    already cuts is not stacked at all.  The colouring's masks
-    ``apart[v]`` are built once per search.
+    Binary branching on the lowest candidate vertex, include-branch first,
+    from the empty clique; a branch is cut only when it cannot *strictly*
+    beat the incumbent, so the first maximum recorded is the lex-least.
+    Two bounds cut: the number of candidates and, when that does not cut
+    and the clique is shorter than the incumbent (else one colour class
+    beats it), the number of greedy colour classes of the candidates.
+    ``cap`` stops the search as soon as a clique of that size is known.  A
+    lower bound is the search's first clique, ``cap=1``: no bound cuts
+    before a clique is recorded, so it is the greedy one, the lowest
+    candidate from 0 on.
+    The include-branch is descended in place and only the exclude-branch
+    is stacked, as the clique length it resumes from, its candidates and
+    its orbits, so the depth is not bounded by the recursion limit; an
+    exclude-branch that the incumbent already cuts is not stacked at all.
 
-    ``orbit[v]``, when given, is the bitmask of v's orbit under a group of
-    automorphisms fixing 0 (for a normal connection set: conjugation, and
-    v's conjugacy class), and ``pair_orbit(v)[w]`` that of w's orbit under
-    automorphisms fixing 0 and v (for a normal set: conjugation by the
-    powers of v).  Then the exclude-branch after v at the clique [0] drops
-    v's whole orbit, and the exclude-branch after w at the clique [0, v]
-    drops w's whole ``pair_orbit(v)`` orbit.  The candidates at either
-    clique are invariant under the automorphisms that fix it: they are the
-    common neighbours of the clique less the orbits dropped before.  So a
-    clique through the chosen vertices and an image of w that avoids the
-    orbits dropped before is the image of one of the same size through the
-    chosen vertices and w that avoids them too, which w's include-branch
-    has searched.  The dropped cliques cannot strictly beat the incumbent,
-    the cliques recorded are those recorded without the cuts, and the
-    lex-least maximum, the ``cap`` stops and the first clique are kept.
-    ``pair_orbit`` is asked at most once per clique [0, v], and only when
-    an exclude-branch there is stacked; it is used only with ``orbit``,
-    whose cut makes the candidates at [0, v] invariant.  Deeper down the automorphisms no
-    longer fix the clique, and the cut is not made.
+    ``orbits`` is a Cayley graph's oracle (:class:`_Orbits`) in the form
+    of :func:`_orbit_masks`, asked once per clique, at its first stacked
+    exclude-branch.  Wherever it answers for the clique so far, the
+    exclude-branch after v drops v's whole orbit, so only the first
+    candidate of each orbit is branched on:
+    vertex 0 at the empty clique; for a normal connection set, one vertex
+    per conjugacy class below [0], and one per orbit of conjugation by the
+    powers of v below [0, v].  The candidates there, the common neighbours
+    less the orbits dropped before, are invariant under the automorphisms
+    fixing the clique, so a clique through it and an image of w is the
+    image of one through it and w, which w's include-branch has searched.
+    The dropped cliques cannot strictly beat the incumbent, so the
+    lex-least maximum, the ``cap`` stops and the first clique are those of
+    the search without the oracle.
     """
     full = (1 << len(adj)) - 1
     apart = [full & ~(a | 1 << v) for v, a in enumerate(adj)]
+    depth = orbits.depth if orbits else 0
     best: list[int] = []
-    cur = [0]
-    stack: list[tuple[int, int]] = []
-    cand = adj[0]
-    pair, pair_of = None, None  # pair_orbit(pair_of), for the clique [0, pair_of]
+    cur: list[int] = []
+    stack: list[tuple] = []
+    cand = full
+    ask = object()  # the orbits at cur, until the oracle is asked for them
+    orbit = ask if depth else None
     while cap is None or len(best) < cap:
         k = len(cur)
         room = len(best) - k  # a better clique takes more than room from cand
         size = cand.bit_count()
-        if size > room and _colour_bound(apart, cand, room) > room:
+        if size > room and (room < 1 or _colour_bound(apart, cand, room) > room):
             if cand:
                 low = cand & -cand
                 v = low.bit_length() - 1
                 if size - 1 > room:
-                    if orbit and k == 1:
-                        rest = cand & ~orbit[v]
-                    elif orbit and pair_orbit and k == 2:
-                        if pair_of != cur[1]:
-                            pair, pair_of = pair_orbit(cur[1]), cur[1]
-                        rest = cand & ~pair[v]
-                    else:
-                        rest = cand ^ low
+                    if orbit is ask:
+                        orbit = orbits(cur)
+                    rest = cand & ~orbit[v] if orbit else cand ^ low
                     if rest.bit_count() > room:
-                        stack.append((k, rest))
+                        stack.append((k, rest, orbit))
                 cur.append(v)
                 cand &= adj[v]
+                orbit = ask if k + 1 < depth else None
                 continue
             best = cur.copy()
         if not stack:
             break
-        k, cand = stack.pop()
+        k, cand, orbit = stack.pop()
         del cur[k:]
     return best
 
@@ -209,21 +214,18 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> l
 
     Builds the Cayley-graph adjacency "a^-1 b in M" from the rows of the
     inverses, walked by ``G.row_batches``, searches it up to ``cap`` and
-    replays the defining property on the returned witness.  When M is
-    normal, conjugation fixes e and preserves the graph, so the search
-    gets the conjugacy classes as its orbits at [e], and conjugation by
-    the powers of v, which also fixes v, as its orbits at [e, v].
+    replays the defining property on the returned witness.  The search
+    branches on the first vertex of each orbit of the oracle only: vertex
+    0 at the root and, when M is normal, one per conjugacy class below [e]
+    and one per orbit of conjugation by the powers of v below [e, v].
     """
     adj = []
     for lo, rows in G.row_batches(G.inverses()):
         inside = M[rows]  # inside[i, b] = (a^-1 b in M) for a = lo + i
         inside[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = False
         adj += _pack_bits(inside)
-    orbit = pair_orbit = None
-    if is_normal_mask(G, M):
-        orbit = _orbit_masks(G.conjugacy_classes()[0].tolist())
-        pair_orbit = lambda v: _orbit_masks(_conjugation_labels(G, v).tolist())
-    witness = sorted(_max_clique(adj, cap, orbit, pair_orbit))
+    orbits = _Orbits(G, is_normal_mask(G, M), _orbit_masks)
+    witness = sorted(_max_clique(adj, cap, orbits))
     for i, a in enumerate(witness):  # replay the defining property
         for b in witness[i + 1:]:
             confirm(M[G.mul(G.inv(a), b)],
@@ -304,27 +306,23 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     Exact minimum cover: iterative deepening starting from the counting
     bound ceil(|G| / |P|); branching always on the lowest-index uncovered
     element, candidate translators in index order, so the reported
-    translator tuple is canonical.  Three cuts use the group's symmetry or
+    translator tuple is canonical.  Two cuts use the group's symmetry or
     the search order and keep that tuple:
 
-    * At the root only the first translator covering e is tried: right
-      translation by g^-1 g' maps a cover that contains g to one of the
-      same size that contains g', so when the first root branch has no
-      cover within the limit, no branch has, and when it has one, the
-      search order finds it there first.
-    * For a normal P with e in P that first translator is e, and
-      conjugation fixes e and maps P*g to P*g^h, so covers through e and g
-      to covers of the same size through e and g^h.  Depth 1 therefore
-      tries only the first candidate of each conjugacy class: a later
-      conjugate is reached only after an earlier one failed, and fails too.
-      Under the translators [e, g1] conjugation by the powers of g1 fixes
-      both and keeps the uncovered set, so depth 2 tries only the first
-      candidate of each orbit of that conjugation, by the same argument;
-      its labels are taken once per g1.
-    * The last translate must cover everything left, so below the root at
-      depth limit - 1 the translators covering each uncovered element are
-      ANDed as bitmasks; the lowest bit left is the first candidate the
-      loop over them would accept, and none is tried when the AND is 0.
+    * Wherever the orbit oracle (:class:`_Orbits`) answers for the
+      translators chosen so far, only the first candidate of each orbit is
+      tried: the automorphisms fixing the chosen translators keep the
+      uncovered set and map a cover through them and g to one of the same
+      size through them and an image of g, so a later candidate in g's
+      orbit is reached only after an earlier one failed, and fails too.
+      At the root, right translation makes G one orbit: only the first
+      translator covering e is tried.  For a normal P with e in P that is
+      e, and below [e] one candidate per conjugacy class is tried, and
+      below [e, g1] one per orbit of conjugation by the powers of g1.
+    * The last translate must cover everything left, so at depth
+      limit - 1 the translators covering each uncovered element are ANDed
+      as bitmasks; the lowest bit left is the first candidate the loop
+      over them would accept, and none is tried when the AND is 0.
 
     The bitmasks of every translate and of the translators covering each
     element are packed once, before the search.
@@ -343,29 +341,25 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
     translate = _column_masks(right, n)  # translate[g] = P*g
     covered_by = _column_masks(covering, n)  # covered_by[x] = {g : x in P*g}
     full = (1 << n) - 1
-    normal = bool(P[0]) and is_normal_mask(G, P)
-    cid = G.conjugacy_classes()[0].tolist() if normal else None
-    labels: dict[int, list[int]] = {}  # g1 -> orbits of conjugation by <g1>
+    orbits = _Orbits(G, is_normal_mask(G, P), list)
     columns: dict[int, list[int]] = {}
+    firsts: dict[tuple, list[int]] = {}  # chosen -> candidates cut by orbits
 
     def candidates(x: int, chosen: list[int]) -> list[int]:
+        """The translators covering x, the first of each orbit only; x is
+        the least element the chosen translators leave uncovered, so the
+        cut list is kept per chosen translators for the next limits."""
         gs = columns.get(x)
         if gs is None:
             gs = columns[x] = covering[:, x].tolist()
-        depth = len(chosen)
-        if depth == 0:
-            return gs[:1]
-        if cid is None or depth > 2:
+        if len(chosen) >= orbits.depth:
             return gs
-        if depth == 1:
-            label = cid
-        else:
-            label = labels.get(chosen[1])
-            if label is None:
-                label = labels[chosen[1]] = \
-                    _conjugation_labels(G, chosen[1]).tolist()
-        seen: set[int] = set()
-        return [g for g in gs if label[g] not in seen and not seen.add(label[g])]
+        key = tuple(chosen)
+        if key not in firsts:
+            label, seen = orbits(chosen), set()
+            firsts[key] = gs if label is None else [
+                g for g in gs if label[g] not in seen and not seen.add(label[g])]
+        return firsts[key]
 
     def last_translate(uncovered: int) -> int | None:
         """The lowest g with P*g covering ``uncovered``, if any."""
@@ -389,7 +383,7 @@ def genericity(G: FiniteGroup, P: np.ndarray, cap: int | None = None) -> dict:
         while uncovered:
             depth = len(chosen)
             if depth < limit and (limit - depth) * len(p) >= uncovered.bit_count():
-                if depth and depth == limit - 1:
+                if depth == limit - 1:
                     g = last_translate(uncovered)
                     if g is not None:
                         return chosen + [g]

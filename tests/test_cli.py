@@ -85,6 +85,20 @@ def test_analyze_arc_in_cyc60(capsys, hang_guard):
     assert res["subgroup_certificate"]["power_order"] == 60
 
 
+@pytest.mark.parametrize("subset,m", [
+    ("ball((1,2);1)", 12), ("ball((1,2,3);(1,2);1)", 8), ("ball((1,2,3,4);1)", 12)])
+def test_cover_replay_of_a_set_that_is_not_normal(capsys, subset, m):
+    """The cover is by right translates P·t, and the replay multiplies
+    them so; on a set that is not normal, left translates t·P of the same
+    translators need not cover Sym(4)."""
+    code, rep = run_cli(capsys, "thick", "analyze", "--group", "Sym(4)",
+                        "--set", subset)
+    assert code == 0
+    res = rep["results"]
+    assert res["genericity"]["m"] == m
+    assert res["witness_verified"] and res["cover_verified"]
+
+
 # -- determinism: identical reports (minus timings) across repeat runs
 
 

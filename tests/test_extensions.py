@@ -1,5 +1,7 @@
 """Central extensions by 2-cocycles and the solvable-factor covering bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,58 @@ def test_validate_cocycle_rejects_perturbation():
     assert e.value.code == "invalid_cocycle"
     assert e.value.details["triple"] == [1, 1, 2]
     assert e.value.details == {"triple": [1, 1, 2], "lhs": 2, "rhs": 0}
+
+
+def _first_failing_triple(base, table, p):
+    """The cocycle identity on all |H|^3 triples at once, as one array."""
+    h, M = np.asarray(table) % p, base.rows(np.arange(base.order))
+    lhs = h[:, :, None] + h[M]
+    rhs = h[None, :, :] + h[:, M]
+    x, y, z = (int(t[0]) for t in np.nonzero((lhs - rhs) % p))
+    return {"triple": [x, y, z], "lhs": int(lhs[x, y, z] % p),
+            "rhs": int(rhs[x, y, z] % p)}
+
+
+@pytest.mark.parametrize("base_text,p,cell", [
+    ("Cyc(70)", 3, (69, 5)), ("Sym(4)", 5, (17, 9)), ("Cyc(100)", 2, (0, 99))])
+@pytest.mark.parametrize("pairs", [None, 1, 7])
+def test_validate_cocycle_names_the_first_failing_triple(base_text, p, cell,
+                                                         pairs, monkeypatch):
+    """Checked a block of pairs (x, y) at a time (as many as fit in
+    ``ROW_BATCH`` triples, or 1 or 7 a block), the first failing triple in
+    (x, y, z) order and its two sides are those of the whole check."""
+    base = build_group(parse_group_spec(base_text))
+    if pairs is not None:
+        monkeypatch.setattr(extensions, "ROW_BATCH", pairs * base.order)
+    bad = coboundary_cocycle(base, p, seed=5)
+    bad[cell] = (bad[cell] + 1) % p
+    with pytest.raises(InputError) as e:
+        validate_cocycle(base, bad, p)
+    assert e.value.details == _first_failing_triple(base, bad, p)
+    assert validate_cocycle(base, coboundary_cocycle(base, p), p).shape == bad.shape
+
+
+def test_build_group_refuses_an_extension_spec():
+    """An extension is built only by ``build_extension``, which checks its
+    table; ``build_group`` builds no extension from a spec."""
+    E = build_extension(*carry_cocycle())
+    with pytest.raises(InputError) as e:
+        build_group(E.spec)
+    assert e.value.code == "invalid_parameters"
+
+
+def test_validate_cocycle_in_bounded_memory():
+    """The check of a 200-element base holds blocks of ``ROW_BATCH``
+    triples, not |H|^3 = 8,000,000 of them (64 MB of int64 each)."""
+    base = build_group(CycSpec(200))
+    table = coboundary_cocycle(base, 2, seed=1)
+    tracemalloc.start()
+    try:
+        validate_cocycle(base, table, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 @pytest.mark.parametrize("base_text", ["Sym(4)", "Cyc(12)"])

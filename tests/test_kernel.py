@@ -360,7 +360,7 @@ def test_kernel_checks_stay_checks_under_optimisation():
         "from glab import thickset\n"
         "G = groupcore.build_group(groupcore.SymSpec(3))\n"
         "everything = np.ones(G.order, dtype=bool)\n"
-        "thickset._max_clique = lambda adj, cap, orbit, pair_orbit: [0, 1]\n"
+        "thickset._max_clique = lambda adj, cap, orbits: [0, 1]\n"
         "attempt(lambda: thickset.thickness(G, everything))\n"
         "thickset._pack_bits = lambda hit: [(1 << hit.shape[1]) - 1] * len(hit)\n"
         "attempt(lambda: thickset.genericity(G, groupcore.mask_from_indices(G, [0, 1])))\n"
@@ -444,6 +444,21 @@ def test_class_balls_workload_round_passes_its_checks(monkeypatch):
     out = harness.run_round(wl_classballs, 1)
     assert [k for k, v in out.outputs.items() if isinstance(v, Failed)] == []
     assert wl_classballs.check(out.state, out.outputs, 1) == []
+
+
+def test_thick_search_workload_round_passes_its_checks(monkeypatch):
+    """One round of the thick-search workload through its harness: the
+    clique and cover searches it runs fail no job, and its checks (brute
+    force on the groups of order 24, replays on the others) find no
+    problem, so a search change that breaks the benchmark fails here."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmark")
+    monkeypatch.syspath_prepend(bench)
+    import harness
+    import wl_thick
+    from common import Failed
+    out = harness.run_round(wl_thick, 1)
+    assert [k for k, v in out.outputs.items() if isinstance(v, Failed)] == []
+    assert wl_thick.check(out.state, out.outputs, 1) == []
 
 
 def test_benchmark_tracer_wraps_and_restores(monkeypatch):

@@ -528,18 +528,19 @@ def test_class_cuts_keep_witnesses_and_translators(hang_guard, spec):
 
 
 def test_pair_cuts_rest_on_the_stabiliser_of_the_pair(monkeypatch):
-    """The second-level cuts take their orbits from conjugation by the
-    powers of the chosen v, which fixes e and v.  Orbits of conjugation by
-    an element that does not commute with v (which moves v) lose a
-    maximum clique and a first cover, so the comparisons above would see
-    a cut by the wrong orbits."""
-    real = thickset._conjugation_labels
+    """The oracle's orbits below [e, v] are those of conjugation by the
+    powers of v, which fixes e and v.  Orbits of conjugation by an element
+    that does not commute with v (which moves v) lose a maximum clique and
+    a first cover, so the comparisons above would see a cut by the wrong
+    orbits."""
+    real = thickset._conjugation
 
-    def moved(G, v):
+    def moved(inv, right):  # the right map of v, in the group G below: right[0] = v
+        v = int(right[0])
         u = next((u for u in range(G.order) if G.mul(u, v) != G.mul(v, u)), v)
-        return real(G, u)
+        return real(inv, G.right_map(u))
 
-    monkeypatch.setattr(thickset, "_conjugation_labels", moved)
+    monkeypatch.setattr(thickset, "_conjugation", moved)
     G = _group("Quot(SL(2,7),center)")
     P = G.class_mask(0) | _symmetrized_classes(G)[0]
     assert thickness(G, P)["witness"] != \
@@ -547,6 +548,77 @@ def test_pair_cuts_rest_on_the_stabiliser_of_the_pair(monkeypatch):
     G = _group("SL(2,5)")
     P = G.class_mask(0) | _symmetrized_classes(G)[6]
     assert genericity(G, P) != _classless_cover(G, P)
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUPS + ("Alt(5)", "Sym(5)", "SL(2,5)",
+                                                 "Quot(SL(2,7),center)"))
+def test_oracle_orbits_are_the_stabiliser_orbits(spec):
+    """The oracle's orbit sets, in both forms, against conjugation by
+    form-level products: all of G at the root; below [e] the orbits of
+    conjugation by every element, the classes; below [e, v] the orbits of
+    conjugation by v.  A set that is not normal gets nothing below the
+    root, and points that do not start at e get nothing."""
+    G = _group(spec)
+    n = G.order
+    conj = np.array([[G.index[G.mul_form(G.mul_form(G.inv_form(G.elements[h]), fx),
+                                         G.elements[h])] for fx in G.elements]
+                     for h in range(n)])  # conj[h, x] = h^-1 x h
+    labels = thickset._Orbits(G, True, list)
+    masks = thickset._Orbits(G, True, thickset._orbit_masks)
+    assert labels([]) == [0] * n
+    assert masks([]) == [(1 << n) - 1] * n
+
+    def check(chosen, maps):
+        label, bits = labels(chosen), masks(chosen)
+        orbit = np.eye(n, dtype=bool)  # orbit[x, y]: y in the orbit of x
+        while True:
+            grown = orbit.copy()
+            for m in maps:
+                grown[:, m] |= orbit
+            if (grown == orbit).all():
+                break
+            orbit = grown
+        label = np.array(label)
+        assert (orbit == (label[:, None] == label[None, :])).all()
+        assert bits == [_bits(row) for row in orbit]
+
+    check([0], conj)
+    for v in range(n):
+        check([0, v], conj[v:v + 1])
+    check([0], conj)  # the set kept for [e] is not one for another point
+    assert labels([0, 1, 2]) is None and masks([0, 1, 2]) is None
+    if n > 1:
+        assert labels([1]) is None and labels([1, 0]) is None
+    plain = thickset._Orbits(G, False, list)
+    assert plain.depth == 1 and plain([0]) is None and plain([0, 1]) is None
+
+
+def _brute_lex_least_maximum_clique(n, edges):
+    """The least sorted clique of largest size, over all vertex subsets."""
+    for size in range(n, 0, -1):
+        for clique in itertools.combinations(range(n), size):
+            if all(pair in edges for pair in itertools.combinations(clique, 2)):
+                return list(clique)
+    return []
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))))
+# vertex 0 is on no maximum clique
+@example((3, [False, False, True]))
+@settings(max_examples=200, deadline=None)
+def test_max_clique_without_oracle_is_lex_least(graph):
+    """Without an oracle the search runs over all vertices of any graph,
+    not only Cayley graphs, from the empty clique: it returns the
+    lex-least maximum clique found by brute force, and its first clique
+    is the greedy one."""
+    n, bits = graph
+    edges = {pair for pair, b in zip(itertools.combinations(range(n), 2), bits) if b}
+    adj = [sum(1 << w for w in range(n) if (min(v, w), max(v, w)) in edges)
+           for v in range(n)]
+    assert _max_clique(adj) == _brute_lex_least_maximum_clique(n, edges)
+    assert _max_clique(adj, 1) == _greedy_clique(adj, n)
 
 
 @given(st.sampled_from(SMALL_GROUPS + ("Alt(5)",)),
