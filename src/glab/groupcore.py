@@ -196,13 +196,30 @@ def mat_identity(n: int) -> tuple:
 
 
 def gauss_jordan(a: tuple, n: int, p: int) -> tuple[tuple | None, tuple | None]:
+    """(a^-1, (L, D, U)) of :func:`_eliminate`, the factors checked."""
+    inverse, factors = _eliminate(a, n, p)
+    if factors is not None:
+        L, D, U = factors
+        confirm(mat_mul(mat_mul(L, D, n, p), U, n, p)
+                == tuple(v % p for v in a),
+                "L·D·U must multiply back to the matrix")
+    return inverse, factors
+
+
+def mat_inverse(a: tuple, n: int, p: int) -> tuple:
+    """Inverse mod p by :func:`_eliminate`; raises if a is singular."""
+    inverse = _eliminate(a, n, p)[0]
+    _require(inverse is not None, "singular matrix mod p")
+    return inverse
+
+
+def _eliminate(a: tuple, n: int, p: int) -> tuple[tuple | None, tuple | None]:
     """(a^-1, (L, D, U)) mod p from one Gauss-Jordan pass on [a | I] that
     pivots on the first nonzero entry of each column; a^-1 is None when a
     is singular.  a = L·D·U (L, U unitriangular) is read off the forward
     steps, as multipliers, pivots and pivot rows scaled to 1, when no pivot
     needs a row swap, i.e. no leading principal minor vanishes; otherwise
-    the factors are None.  Returned factors are checked to multiply back.
-    """
+    the factors are None."""
     m = [[a[i * n + j] % p for j in range(n)] + [int(i == j) for j in range(n)]
          for i in range(n)]
     L, D, U = list(mat_identity(n)), [0] * (n * n), [0] * (n * n)
@@ -224,18 +241,7 @@ def gauss_jordan(a: tuple, n: int, p: int) -> tuple[tuple | None, tuple | None]:
                     L[r * n + col] = f * inv_p % p
                 m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
     inverse = tuple(m[i][n + j] for i in range(n) for j in range(n))
-    if swapped:
-        return inverse, None
-    confirm(mat_mul(mat_mul(L, D, n, p), U, n, p) == tuple(v % p for v in a),
-            "L·D·U must multiply back to the matrix")
-    return inverse, (tuple(L), tuple(D), tuple(U))
-
-
-def mat_inverse(a: tuple, n: int, p: int) -> tuple:
-    """Inverse mod p by :func:`gauss_jordan`; raises if a is singular."""
-    inverse = gauss_jordan(a, n, p)[0]
-    _require(inverse is not None, "singular matrix mod p")
-    return inverse
+    return inverse, None if swapped else (tuple(L), tuple(D), tuple(U))
 
 
 # --------------------------------------------------------------------------

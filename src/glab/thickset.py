@@ -227,8 +227,9 @@ def _quotient_clique(G: FiniteGroup, M: np.ndarray, cap: int | None = None) -> l
     orbits = _Orbits(G, is_normal_mask(G, M), _orbit_masks)
     witness = sorted(_max_clique(adj, cap, orbits))
     for i, a in enumerate(witness):  # replay the defining property
+        a_inv = G.inv(a)
         for b in witness[i + 1:]:
-            confirm(M[G.mul(G.inv(a), b)],
+            confirm(M[G.mul(a_inv, b)],
                     "a clique quotient lies outside the set", a=a, b=b)
     return witness
 

@@ -461,6 +461,22 @@ def test_thick_search_workload_round_passes_its_checks(monkeypatch):
     assert wl_thick.check(out.state, out.outputs, 1) == []
 
 
+def test_perm_sweep_workload_round_passes_its_checks(monkeypatch):
+    """One round of the perm-sweep workload through its harness: the
+    quotient and merge sweeps and their spot checks fail no job, and the
+    checks (instance counts from falling factorials, spot-check counts)
+    find no problem, so a sweep change that breaks the benchmark fails
+    here."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmark")
+    monkeypatch.syspath_prepend(bench)
+    import harness
+    import wl_perm
+    from common import Failed
+    out = harness.run_round(wl_perm, 1)
+    assert [k for k, v in out.outputs.items() if isinstance(v, Failed)] == []
+    assert wl_perm.check(out.state, out.outputs, 1) == []
+
+
 def test_benchmark_tracer_wraps_and_restores(monkeypatch):
     """``benchmark/spans.py`` wraps glab functions and ``FiniteGroup``
     methods by name: on Sym(4) it counts rows and products, and

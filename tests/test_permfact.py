@@ -380,6 +380,85 @@ def test_chunk_size_changes_nothing(monkeypatch, chunk):
                                "a": _one_based(a), "b": _one_based(b)}
 
 
+def _pool_gather_chunks(n, fixed, length):
+    """The chunks of _instance_chunks as the pool gather built them before
+    tails were shifted: heads in blocks of whole chunks, each head's pool
+    (the sorted points it leaves free) from one boolean mask per block,
+    and a chunk's tails that pool gathered at the injective tuples."""
+    chunk = permfact.CHUNK
+    free = n - len(fixed)
+    head = 0
+    while math.perm(free - head, length - head) > chunk:
+        head += 1
+    width, tail = len(fixed) + head, length - head
+    tails = math.perm(n - width, tail)
+    per = max(1, chunk // tails)
+    idx = permfact._injective(n - width, tail)
+    block = per * max(1, 8 * chunk // ((n - width) * per))
+    dtype = np.min_scalar_type(n)
+    heads = itertools.chain.from_iterable(fixed + h for h in
+                                          itertools.permutations(
+        [p for p in range(n) if p not in fixed], head))
+    left = math.perm(free, head)
+    while left:
+        k, left = min(block, left), left - min(block, left)
+        H = np.fromiter(heads, dtype, count=k * width).reshape(k, width)
+        if tail:
+            unused = np.ones((k, n), dtype=bool)
+            unused[np.arange(k)[:, None], H] = False
+            pools = np.broadcast_to(np.arange(n, dtype=dtype), (k, n))[
+                unused].reshape(k, n - width)
+        for lo in range(0, k, per):
+            h = H[lo:lo + per]
+            out = np.empty((width + tail, len(h) * tails), dtype)
+            rows = out.reshape(width + tail, len(h), tails)
+            rows[:width] = h.T[:, :, None]
+            if tail:
+                pools[lo:lo + per].take(idx, axis=1,
+                                        out=rows[width:].transpose(1, 0, 2))
+            yield out
+
+
+@pytest.mark.parametrize("chunk", [64, 4096, permfact.CHUNK])
+def test_shifted_tails_match_the_pool_gather(monkeypatch, chunk):
+    """Chunk by chunk, the shifted tails equal the pool gather they
+    replaced, tuples, order and dtype, over full sweeps, x = 1, y = 2
+    slices and empty tails (at 64, n = 256 and 300 fill a chunk with
+    heads alone) on 3 to 300 points."""
+    monkeypatch.setattr(permfact, "CHUNK", chunk)
+    for n, fixed, length in [(3, (), 3), (3, (), 0), (3, (0, 1), 1),
+                             (8, (), 8), (8, (), 6), (8, (0, 1), 6),
+                             (11, (), 5), (11, (0, 1), 4), (11, (0, 1), 9),
+                             (256, (), 1), (256, (), 2), (256, (0, 1), 2),
+                             (300, (), 2), (300, (0, 1), 1)]:
+        got = list(permfact._instance_chunks(n, fixed, length))
+        want = list(_pool_gather_chunks(n, fixed, length))
+        assert len(got) == len(want), (n, fixed, length)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert (g == w).all(), (n, fixed, length)
+
+
+def test_batched_permutations_match_the_form_level_ones():
+    """_cycles, _compose and _inverse on seeded rows agree row by row with
+    cycle_perm, perm_compose and perm_inverse, a composition with rows of
+    points included."""
+    rng = np.random.default_rng(34)
+    for n, length in [(2, 2), (7, 1), (7, 4), (10, 10), (300, 5)]:
+        perms = rng.permuted(np.tile(np.arange(n), (40, 1)), axis=1)
+        f, g = perms[:20], perms[20:]
+        points = g[:, :length]
+        cycles = permfact._cycles(n, points)
+        assert cycles.tolist() == [list(cycle_perm(n, _one_based(p)))
+                                   for p in points.tolist()]
+        assert permfact._compose(f, g).tolist() == [
+            list(perm_compose(a, b)) for a, b in zip(f.tolist(), g.tolist())]
+        assert permfact._compose(f, points).tolist() == [
+            [a[q] for q in p] for a, p in zip(f.tolist(), points.tolist())]
+        assert permfact._inverse(f).tolist() == [
+            list(perm_inverse(a)) for a in f.tolist()]
+
+
 def test_sweeps_past_the_cap_are_refused_before_any_runs(monkeypatch):
     """Each scan counts the instances of all its sweeps, perm(n - fixed,
     length) each, before it runs one, and refuses a count above SWEEP_CAP;
